@@ -60,7 +60,7 @@ Experiments (paper artifact each regenerates):
                       (-listen); -wal-dir makes it durable across restarts
   bench               continuous-benchmark suite: fig7/fig13/mixed/fig7wal/
                       multiview at CI scale plus hot-path microbenchmarks, as
-                      machine-readable JSON (-o, default BENCH_6.json) for
+                      machine-readable JSON (-o, default bench-report.json) for
                       cmd/benchdiff; -cpuprofile/-memprofile for pprof
   all                 everything above at default scale
 
@@ -86,7 +86,7 @@ func main() {
 	noScalar := fs.Bool("no-scalar", false, "skip the per-aggregate scalar competitors (DBT, 1-IVM)")
 	autoOrder := fs.Bool("auto-order", false, "let the cost-based optimizer choose variable orders (fig7, fig13, explain) instead of the handpicked ones")
 	views := fs.Int("views", 4, "concurrent views for the multiview experiment")
-	benchOut := fs.String("o", "BENCH_6.json", "output path for the bench report (bench)")
+	benchOut := fs.String("o", "bench-report.json", "output path for the bench report (bench); committed baselines are BENCH_<n>.json, written only when named")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the bench suite to this file (bench)")
 	memprofile := fs.String("memprofile", "", "write a heap profile taken after the bench suite to this file (bench)")
 	noMicro := fs.Bool("no-micro", false, "skip the hot-path microbenchmarks (bench)")

@@ -416,7 +416,8 @@ func CreateSQLView(d *DB, name, sql string, opts ViewOptions) (*View[float64], e
 
 // ViewSnapshotOf returns the named view's snapshot within a cross-view
 // epoch, or nil when the epoch does not carry it (or the payload type does
-// not match).
+// not match). DB snapshots carry the view's result only, cataloged under
+// the query's name; inner-view catalogs come from engines built directly.
 func ViewSnapshotOf[P any](e *DBEpoch, view string) *ViewSnapshot[P] {
 	return db.SnapshotOf[P](e, view)
 }

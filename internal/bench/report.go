@@ -56,9 +56,8 @@ type ScenarioResult struct {
 	// runs (zero elsewhere).
 	ReaderOpsPerSec float64 `json:"reader_ops_per_sec,omitempty"`
 	// StalenessP50Ns / StalenessP99Ns are replication-lag percentiles of the
-	// serve scenario's follower: the delay between the primary publishing an
-	// applied count and the follower publishing the same one (zero
-	// elsewhere).
+	// serve scenario's follower: the delay between a batch being submitted
+	// to the primary and the follower publishing it (zero elsewhere).
 	StalenessP50Ns int64  `json:"staleness_p50_ns,omitempty"`
 	StalenessP99Ns int64  `json:"staleness_p99_ns,omitempty"`
 	Status         string `json:"status"`

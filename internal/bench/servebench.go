@@ -144,9 +144,10 @@ func ServeBench(cfg ServeBenchConfig) []ScenarioResult {
 		return fail(fmt.Errorf("no lookup keys in stream"))
 	}
 
-	// Staleness sampler: first-seen publication times per applied count on
-	// both sides; the difference is the follower's lag for that batch.
-	sampler := newStalenessSampler(d, fol)
+	// Staleness sampler: per applied count, the time the batch was submitted
+	// to the primary and the time the follower published it (Epoch.At); the
+	// difference is the follower's lag for that batch.
+	sampler := newStalenessSampler(fol)
 	go sampler.run()
 
 	// Readers: lookups and scans over keep-alive connections, running
@@ -201,6 +202,7 @@ func ServeBench(cfg ServeBenchConfig) []ScenarioResult {
 		}
 		lats = append(lats, time.Since(bs))
 		tuples += len(b.Tuples)
+		sampler.submitted(d.Epoch().Applied, bs)
 	}
 	ingestElapsed := time.Since(ingestStart)
 
@@ -283,25 +285,31 @@ func waitFollowerApplied(f *replica.Follower, want uint64, timeout time.Duration
 	return fmt.Errorf("follower stuck at applied=%d, want %d", f.DB().Epoch().Applied, want)
 }
 
-// stalenessSampler polls both epoch pointers and records when each applied
-// count was first observed on each side; the per-count difference is the
-// replication staleness distribution.
+// stalenessSampler records, per applied count, when the batch was
+// submitted to the primary and when the follower published it; the
+// per-count difference is the replication staleness distribution. The
+// reference is the submission, not the primary's own publication: frames
+// ship at WAL append, before the primary maintains its views, so the
+// follower can publish a batch first and a publish-to-publish difference
+// is often zero or negative. Submission times come from the ingest loop,
+// so none is missed; follower epochs are polled and carry their own
+// publication time (Epoch.At), and stop takes one last sample so the
+// converged count is always paired.
 type stalenessSampler struct {
-	p      *db.DB
 	f      *replica.Follower
 	done   chan struct{}
 	mu     sync.Mutex
-	pSeen  map[uint64]time.Time
-	fSeen  map[uint64]time.Time
+	sub    map[uint64]time.Time
+	pub    map[uint64]time.Time
 	closed bool
 }
 
-func newStalenessSampler(p *db.DB, f *replica.Follower) *stalenessSampler {
+func newStalenessSampler(f *replica.Follower) *stalenessSampler {
 	return &stalenessSampler{
-		p: p, f: f,
-		done:  make(chan struct{}),
-		pSeen: map[uint64]time.Time{},
-		fSeen: map[uint64]time.Time{},
+		f:    f,
+		done: make(chan struct{}),
+		sub:  map[uint64]time.Time{},
+		pub:  map[uint64]time.Time{},
 	}
 }
 
@@ -313,33 +321,42 @@ func (s *stalenessSampler) run() {
 		case <-s.done:
 			return
 		case <-tick.C:
-			now := time.Now()
-			pa := s.p.Epoch().Applied
-			fa := s.f.DB().Epoch().Applied
-			s.mu.Lock()
-			if _, ok := s.pSeen[pa]; !ok {
-				s.pSeen[pa] = now
-			}
-			if _, ok := s.fSeen[fa]; !ok {
-				s.fSeen[fa] = now
-			}
-			s.mu.Unlock()
+			s.sample()
 		}
 	}
 }
 
+// submitted records when the batch that brought the primary to applied
+// count a was submitted.
+func (s *stalenessSampler) submitted(a uint64, at time.Time) {
+	s.mu.Lock()
+	s.sub[a] = at
+	s.mu.Unlock()
+}
+
+// sample records the follower's current epoch publication time.
+func (s *stalenessSampler) sample() {
+	e := s.f.DB().Epoch()
+	s.mu.Lock()
+	if _, ok := s.pub[e.Applied]; !ok {
+		s.pub[e.Applied] = e.At
+	}
+	s.mu.Unlock()
+}
+
 // stop ends sampling and returns the p50/p99 staleness over every applied
-// count observed on both sides.
+// count recorded on both sides.
 func (s *stalenessSampler) stop() (p50, p99 time.Duration) {
+	s.sample()
 	s.mu.Lock()
 	if !s.closed {
 		s.closed = true
 		close(s.done)
 	}
 	var lags []time.Duration
-	for a, ft := range s.fSeen {
-		if pt, ok := s.pSeen[a]; ok && ft.After(pt) {
-			lags = append(lags, ft.Sub(pt))
+	for a, ft := range s.pub {
+		if st, ok := s.sub[a]; ok {
+			lags = append(lags, ft.Sub(st))
 		}
 	}
 	s.mu.Unlock()

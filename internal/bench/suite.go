@@ -9,7 +9,7 @@ import (
 )
 
 // SuiteConfig sizes the continuous-benchmark suite (`fivm bench`). The
-// committed baseline (BENCH_6.json) and every CI run must use the same
+// committed baselines (BENCH_<n>.json) and every CI run must use the same
 // config — benchdiff compares absolute numbers, so differing scales would
 // read as regressions. DefaultSuite is therefore deliberately small: the
 // suite exists to catch relative slowdowns on every change, not to

@@ -20,7 +20,7 @@ type BaseUpdate struct {
 // BaseObserver receives, once per applied batch, the batch's updates
 // restricted to the relations the observer registered for. Updates are
 // shared and read-only; observers must not retain the slice beyond the call
-// (the tuples themselves stay alive in the store's log).
+// (the tuples themselves are immutable and safe to retain).
 type BaseObserver func(batch []BaseUpdate) error
 
 // BaseStore is the shared base-relation store: the canonical multiplicity
@@ -36,19 +36,22 @@ type BaseObserver func(batch []BaseUpdate) error
 //
 // Internally each relation is a lazily compacted update log: ApplyBatch
 // appends the batch's tuple slices (shared, no copying or re-encoding) and
-// the merged multiset is materialized only when someone asks for it (Base,
-// typically a view backfill). The hot ingest path therefore does no
-// per-tuple work at all — the coalescing cost is deferred to the rare
-// reader that needs the merged view, and paid once.
+// the merged multiset is materialized when someone asks for it (Base,
+// typically a view backfill or a checkpoint) or when the log outgrows the
+// merged contents: once a relation's pending tuple count exceeds
+// max(merged Len, logFloor), ApplyBatch folds the log in. The hot ingest
+// path therefore does amortized O(1) work per tuple, and the store holds
+// O(live state) however long the stream runs.
 //
 // A BaseStore is single-writer: ApplyBatch, Base, and the lifecycle methods
 // must come from one goroutine at a time (the maintenance goroutine).
 // Observers run synchronously on that goroutine, in attach order.
 type BaseStore struct {
-	schemas map[string]Schema
-	merged  map[string]*Relation[int64]
-	pending map[string][]BaseUpdate
-	names   []string // registration order
+	schemas  map[string]Schema
+	merged   map[string]*Relation[int64]
+	pending  map[string][]BaseUpdate
+	pendingN map[string]int // tuples in each relation's pending log
+	names    []string       // registration order
 
 	obs []baseObserver
 
@@ -56,6 +59,10 @@ type BaseStore struct {
 	// filtered views of the batch.
 	obsScratch []BaseUpdate
 }
+
+// logFloor is the pending-log size (in tuples) below which ApplyBatch never
+// compacts, so small relations do not merge on every batch.
+const logFloor = 4096
 
 type baseObserver struct {
 	id   string
@@ -66,9 +73,10 @@ type baseObserver struct {
 // NewBaseStore creates an empty store; relations are added with Register.
 func NewBaseStore() *BaseStore {
 	return &BaseStore{
-		schemas: make(map[string]Schema),
-		merged:  make(map[string]*Relation[int64]),
-		pending: make(map[string][]BaseUpdate),
+		schemas:  make(map[string]Schema),
+		merged:   make(map[string]*Relation[int64]),
+		pending:  make(map[string][]BaseUpdate),
+		pendingN: make(map[string]int),
 	}
 }
 
@@ -102,20 +110,26 @@ func (s *BaseStore) Base(rel string) *Relation[int64] {
 	if m == nil {
 		return nil
 	}
-	if pend := s.pending[rel]; len(pend) > 0 {
-		n := 0
-		for _, u := range pend {
-			n += len(u.Tuples)
-		}
-		m.Reserve(m.Len() + n)
-		for _, u := range pend {
-			for _, t := range u.Tuples {
-				m.Merge(t, u.Mult)
-			}
-		}
-		s.pending[rel] = pend[:0]
-	}
+	s.compact(rel, m)
 	return m
+}
+
+// compact folds rel's pending log into its merged contents and clears the
+// log slice, so it stops referencing the compacted batches' tuples.
+func (s *BaseStore) compact(rel string, m *Relation[int64]) {
+	pend := s.pending[rel]
+	if len(pend) == 0 {
+		return
+	}
+	m.Reserve(m.Len() + s.pendingN[rel])
+	for _, u := range pend {
+		for _, t := range u.Tuples {
+			m.Merge(t, u.Mult)
+		}
+	}
+	clear(pend)
+	s.pending[rel] = pend[:0]
+	s.pendingN[rel] = 0
 }
 
 // AdoptBase replaces the merged contents of a registered relation with r,
@@ -133,6 +147,7 @@ func (s *BaseStore) AdoptBase(rel string, r *Relation[int64]) error {
 	}
 	s.merged[rel] = r
 	s.pending[rel] = nil
+	s.pendingN[rel] = 0
 	return nil
 }
 
@@ -177,8 +192,9 @@ func (s *BaseStore) Observers() []string {
 }
 
 // ApplyBatch advances the store by one batch of per-relation updates —
-// appended to each relation's pending log at pointer cost — and fans the
-// batch out to every attached observer. Zero multiplicities default to +1;
+// appended to each relation's pending log at pointer cost, compacting a log
+// that has outgrown max(merged Len, logFloor) — and fans the batch out to
+// every attached observer. Zero multiplicities default to +1;
 // unknown relations and arity mismatches are errors, detected before any
 // state changes. The batch slice itself may be reused by the caller after
 // the call; tuple storage is adopted.
@@ -207,6 +223,12 @@ func (s *BaseStore) ApplyBatch(batch []BaseUpdate) error {
 			continue
 		}
 		s.pending[u.Rel] = append(s.pending[u.Rel], u)
+		s.pendingN[u.Rel] += len(u.Tuples)
+	}
+	for _, u := range batch {
+		if m := s.merged[u.Rel]; s.pendingN[u.Rel] > max(m.Len(), logFloor) {
+			s.compact(u.Rel, m)
+		}
 	}
 	for _, o := range s.obs {
 		sub := batch

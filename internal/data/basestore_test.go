@@ -121,3 +121,98 @@ func TestLiftFrom(t *testing.T) {
 		t.Errorf("dst[2] = %g", got)
 	}
 }
+
+// TestBaseStoreLogBounded streams a window churn — every batch inserts the
+// next tuples and deletes those inserted one window earlier — through a
+// store with no Base callers, and checks that ApplyBatch alone keeps each
+// pending log within max(merged Len, logFloor), that the merged contents
+// equal a multiset oracle after every compaction, and that the store's
+// footprint stays flat instead of growing with the stream.
+func TestBaseStoreLogBounded(t *testing.T) {
+	s := NewBaseStore()
+	// R's window exceeds the floor (its log is bounded by its merged size),
+	// S's stays below it (bounded by the floor).
+	windows := map[string]int{"R": 2 * logFloor, "S": logFloor / 8}
+	const batches, per = 10000, 40
+	oracle := map[string]map[int64]int64{}
+	for rel := range windows {
+		if err := s.Register(rel, NewSchema("A", "B")); err != nil {
+			t.Fatal(err)
+		}
+		oracle[rel] = map[int64]int64{}
+	}
+	// The i-th tuple's key recurs every two window laps; the first quarter
+	// of every batch is applied twice (multiplicity 2).
+	tuples := func(rel string, b int) []Tuple {
+		ts := make([]Tuple, per)
+		for j := range ts {
+			k := int64((b*per + j) % (2 * windows[rel]))
+			ts[j] = bsTuple(k, k%7)
+		}
+		return ts
+	}
+	update := func(batch []BaseUpdate, rel string, ts []Tuple, mult int64) []BaseUpdate {
+		for _, tu := range ts {
+			oracle[rel][tu[0].AsInt()] += mult
+		}
+		return append(batch, BaseUpdate{Rel: rel, Tuples: ts, Mult: mult})
+	}
+	compactions := 0
+	var early, late int // peak footprint in the second and the last quarter
+	for b := 0; b < batches; b++ {
+		var batch []BaseUpdate
+		for rel, w := range windows {
+			ins := tuples(rel, b)
+			batch = update(batch, rel, ins, 1)
+			batch = update(batch, rel, ins[:per/4], 1)
+			if old := b - w/per; old >= 0 {
+				del := tuples(rel, old)
+				batch = update(batch, rel, del, -1)
+				batch = update(batch, rel, del[:per/4], -1)
+			}
+		}
+		before := map[string]int{"R": s.pendingN["R"], "S": s.pendingN["S"]}
+		if err := s.ApplyBatch(batch); err != nil {
+			t.Fatal(err)
+		}
+		for rel := range windows {
+			m := s.merged[rel]
+			p := s.pendingN[rel]
+			if p > max(m.Len(), logFloor) {
+				t.Fatalf("batch %d: %s pending %d > max(merged %d, floor %d)", b, rel, p, m.Len(), logFloor)
+			}
+			if p >= before[rel] {
+				continue // no compaction this batch
+			}
+			compactions++
+			live := 0
+			for k, n := range oracle[rel] {
+				if n == 0 {
+					continue
+				}
+				live++
+				if got, _ := m.Get(bsTuple(k, k%7)); got != n {
+					t.Fatalf("batch %d: %s[%d] = %d after compaction, oracle %d", b, rel, k, got, n)
+				}
+			}
+			if m.Len() != live {
+				t.Fatalf("batch %d: %s holds %d keys after compaction, oracle %d", b, rel, m.Len(), live)
+			}
+		}
+		if b%50 != 0 {
+			continue
+		}
+		switch mem := s.MemoryBytes(); {
+		case b >= batches/4 && b < batches/2:
+			early = max(early, mem)
+		case b >= 3*batches/4:
+			late = max(late, mem)
+		}
+	}
+	if compactions < 10 {
+		t.Fatalf("only %d compactions over %d batches", compactions, batches)
+	}
+	if late > early+early/20 {
+		t.Fatalf("store footprint grew: peak %d bytes in the last quarter vs %d in the second", late, early)
+	}
+}

@@ -43,7 +43,11 @@ import (
 //     unreclaimed blocks inflate the collector's heap target, which grows
 //     the cycle further: a high-rate publish loop relying on the backstop
 //     degenerates to plain allocation with extra steps. Release is the fast
-//     path, not a nicety.
+//     path, not a nicety. No production path calls Release today: the ivm
+//     maintainers hand each published handle to an epoch that readers drop
+//     without releasing, so DB-published snapshots are reclaimed by this
+//     backstop. Publishing only the result (Engine.SnapshotResult) keeps
+//     that load to one relation per view.
 //
 // The backstop is a GC cleanup, not a weak.Pointer poll, for a subtle
 // reason beyond cost: polling weak pointers from the publish path resurrects

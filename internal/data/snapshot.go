@@ -195,6 +195,10 @@ func (r *Relation[P]) Snapshot() *RelationSnapshot[P] {
 	return last
 }
 
+// Snapshotted reports whether the relation has ever been snapshotted, i.e.
+// whether it carries dirty tracking on its mutation path.
+func (r *Relation[P]) Snapshotted() bool { return r.snap != nil }
+
 // Seal wraps a relation that will never be mutated again into a snapshot,
 // copying its entry values (but not tuples or payload storage) into sorted
 // chunks. It is the cheap publication path for results rebuilt wholesale per

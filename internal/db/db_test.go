@@ -252,3 +252,53 @@ func TestDBMultiRingViews(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 }
+
+// TestDBMemoryFlatUnderWindowChurn: a sliding-window stream with no
+// checkpoints and no backfills (nothing that calls Base) must not grow the
+// DB's footprint — the base store compacts its own log as it goes.
+func TestDBMemoryFlatUnderWindowChurn(t *testing.T) {
+	d, err := Open(testCatalog(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, err := CreateView[int64](d, "cnt", testQuery("cnt", "A"), ring.Int{}, countLift, ViewOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Apply([]Update{Insert("S", tup(1, 1), tup(2, 2)), Insert("T", tup(1, 7), tup(2, 8))}); err != nil {
+		t.Fatal(err)
+	}
+	const batches, per, window = 4000, 20, 50 // window in batches
+	rows := func(b int) []data.Tuple {
+		ts := make([]data.Tuple, per)
+		for j := range ts {
+			ts[j] = tup(int64(1+(b*per+j)%2), int64(b*per+j))
+		}
+		return ts
+	}
+	var early, late int
+	for b := 0; b < batches; b++ {
+		ups := []Update{Insert("R", rows(b)...)}
+		if b >= window {
+			ups = append(ups, Delete("R", rows(b-window)...))
+		}
+		if err := d.Apply(ups); err != nil {
+			t.Fatal(err)
+		}
+		if b%20 != 0 {
+			continue
+		}
+		switch mem := d.MemoryBytes(); {
+		case b >= batches/4 && b < batches/2:
+			early = max(early, mem)
+		case b >= 3*batches/4:
+			late = max(late, mem)
+		}
+	}
+	if late > early+early/20 {
+		t.Fatalf("DB footprint grew: peak %d bytes in the last quarter vs %d in the second", late, early)
+	}
+	if got, _ := SnapshotOf[int64](d.Epoch(), "cnt").Result().Get(tup(1)); got != window*per/2 {
+		t.Fatalf("cnt[1] = %d, want %d", got, window*per/2)
+	}
+}

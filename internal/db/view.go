@@ -183,8 +183,10 @@ func CreateView[P any](d *DB, name string, q query.Query, r ring.Ring[P], lift d
 		return nil, err
 	}
 	// Enable snapshot publication: every applied batch now publishes an
-	// epoch, which the DB's cross-view Epoch picks up.
-	m.Snapshot()
+	// epoch, which the DB's cross-view Epoch picks up. DB readers read only
+	// the result, so epochs carry it alone and inner views skip publication
+	// (Engine and Parallel, the only maintainers built here, both can).
+	m.(ivm.ResultPublisher[P]).SnapshotResult()
 
 	d.registerView(v)
 	return v, nil
@@ -354,8 +356,11 @@ func (v *View[P]) Query() query.Query { return v.q }
 func (v *View[P]) Maintainer() ivm.Maintainer[P] { return v.m }
 
 // Snapshot returns the view's latest published snapshot (safe from any
-// goroutine). For a set of views consistent at one applied batch, go through
-// DB.Epoch and SnapshotOf instead.
+// goroutine). DB epochs carry the view's result only: the catalog holds one
+// entry, the result under the query's name. Inner-view catalogs come from
+// directly constructed engines (ivm.New ... Snapshot). For a set of views
+// consistent at one applied batch, go through DB.Epoch and SnapshotOf
+// instead.
 func (v *View[P]) Snapshot() *ivm.ViewSnapshot[P] { return v.m.Snapshot() }
 
 // Reader returns a serve.Reader pinned to the view's snapshot in the DB's
@@ -367,7 +372,8 @@ func (v *View[P]) Reader() *serve.Reader[P] {
 
 // SnapshotOf returns the named view's snapshot in a cross-view epoch, or nil
 // when the epoch does not carry it (unknown name, dropped view, or a payload
-// type mismatch).
+// type mismatch). The snapshot holds the view's result only (see
+// View.Snapshot).
 func SnapshotOf[P any](e *Epoch, view string) *ivm.ViewSnapshot[P] {
 	if e == nil {
 		return nil

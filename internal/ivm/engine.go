@@ -125,9 +125,11 @@ type Engine[P any] struct {
 	views     map[*viewtree.Node]*data.IndexedRelation[P]
 	plans     map[*viewtree.Node]*deltaPlan[P]
 	// snapshot catalog: stable view names and the epoch publisher.
-	names  map[*viewtree.Node]string
-	byName map[string]*viewtree.Node
-	pub    publisher[P]
+	// resultOnly (set by SnapshotResult) publishes the root view alone.
+	names      map[*viewtree.Node]string
+	byName     map[string]*viewtree.Node
+	pub        publisher[P]
+	resultOnly bool
 	// indicator machinery
 	indLeaves map[string][]*viewtree.Node // base relation -> indicator leaves
 	trackers  map[*viewtree.Node]*viewtree.IndicatorTracker

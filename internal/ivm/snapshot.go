@@ -12,7 +12,8 @@ import (
 
 // ViewSnapshot is one published epoch of a maintainer's state: an immutable,
 // mutually consistent set of relation snapshots — the query result plus a
-// named catalog of the materialized views — taken after some whole applied
+// named catalog of the materialized views (the result alone for result-only
+// publishers, see Engine.SnapshotResult) — taken after some whole applied
 // batch, never mid-batch. Snapshots are published with a single atomic
 // pointer swap, so any number of reader goroutines can pin an epoch and read
 // it lock-free while maintenance keeps streaming; see internal/serve for
@@ -60,6 +61,10 @@ func (s *ViewSnapshot[P]) ViewOf(n *viewtree.Node) *data.RelationSnapshot[P] { r
 //     goroutine: it is a single atomic load.
 //   - Maintainers that were never asked for a Snapshot pay nothing on the
 //     maintenance path beyond one atomic load per applied batch.
+//   - Epochs never Release their relation snapshots, and no production
+//     reader does either: a published epoch's storage returns to the
+//     relations' arenas through the GC backstop (see data/snaparena.go)
+//     once no reader holds it.
 type publisher[P any] struct {
 	cur atomic.Pointer[ViewSnapshot[P]]
 	// names caches the sorted catalog across epochs (the catalog only
@@ -153,9 +158,41 @@ func (e *Engine[P]) maybePublish() {
 	}
 }
 
+// ResultPublisher is implemented by maintainers that can publish
+// result-only epochs (Engine, and Parallel by delegation).
+type ResultPublisher[P any] interface {
+	SnapshotResult() *ViewSnapshot[P]
+}
+
+// SnapshotResult is Snapshot for consumers that read only the query result.
+// Its first call — which, like Snapshot's, must come from the maintenance
+// goroutine — enables publication in result-only mode: every epoch carries
+// the root view alone, cataloged under the query's name, and the inner
+// views are never snapshotted, so they pay no dirty tracking, payload
+// privatization or arena copies. Once publication is enabled (in either
+// mode) it returns the latest epoch, exactly like Snapshot.
+func (e *Engine[P]) SnapshotResult() *ViewSnapshot[P] {
+	if s := e.pub.cur.Load(); s != nil {
+		return s
+	}
+	e.resultOnly = true
+	return e.publishSnapshot()
+}
+
 // publishSnapshot snapshots every materialized view (O(changed keys) per
-// view via relation dirty tracking) and swaps in the new epoch.
+// view via relation dirty tracking) — only the root in result-only mode —
+// and swaps in the new epoch.
 func (e *Engine[P]) publishSnapshot() *ViewSnapshot[P] {
+	if e.resultOnly {
+		// Resolve the root afresh: a replan may have replaced it.
+		var result *data.RelationSnapshot[P]
+		if ir := e.views[e.root]; ir != nil {
+			result = ir.Snapshot()
+		} else {
+			result = data.NewRelation(e.ring, e.root.Keys).Seal()
+		}
+		return e.pub.publish(result, map[string]*data.RelationSnapshot[P]{e.q.Name: result}, nil)
+	}
 	views := make(map[string]*data.RelationSnapshot[P], len(e.views))
 	byNode := make(map[*viewtree.Node]*data.RelationSnapshot[P], len(e.views))
 	for node, ir := range e.views {
@@ -196,7 +233,7 @@ func (e *Engine[P]) nameViews() {
 
 // ViewNames returns the catalog of view names the engine materializes, in
 // sorted order. Every name resolves through ViewByName and appears in every
-// published ViewSnapshot.
+// full-catalog ViewSnapshot (not in result-only ones).
 func (e *Engine[P]) ViewNames() []string {
 	out := make([]string, 0, len(e.views))
 	for node := range e.views {
@@ -409,6 +446,20 @@ func (p *Parallel[P]) Snapshot() *ViewSnapshot[P] {
 		return s
 	}
 	return p.publishSnapshot()
+}
+
+// SnapshotResult enables result-only publication (see
+// Engine.SnapshotResult). The sharded maintainer publishes only the reduced
+// result anyway; the sequential fallback routes the choice to its inner
+// maintainer.
+func (p *Parallel[P]) SnapshotResult() *ViewSnapshot[P] {
+	if p.Sharded() {
+		return p.Snapshot()
+	}
+	if rp, ok := p.shards[0].(ResultPublisher[P]); ok {
+		return rp.SnapshotResult()
+	}
+	return p.shards[0].Snapshot()
 }
 
 func (p *Parallel[P]) maybePublish() {
