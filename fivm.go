@@ -99,7 +99,14 @@ func NewRelation[P any](r Ring[P], schema Schema) *Relation[P] {
 
 // --- rings ----------------------------------------------------------------
 
-// Ring is the payload algebra interface.
+// Ring is the payload algebra interface. Besides the immutable ring
+// operations (Zero, One, Add, Neg, Mul, IsZero) every ring supplies in-place
+// forms (AddInto, MulInto, MulAddInto, CopyInto, IsOne, and the
+// pointer-source AddIntoRef, CopyIntoRef, IsZeroRef) and a payload footprint
+// estimate (Bytes): relations store CopyInto copies and accumulate into them
+// in place. A ring whose payloads are immutable values implements the
+// in-place forms by replacing *dst (AddInto as *dst = Add(*dst, src),
+// CopyInto by sharing src), as RelRing does.
 type Ring[T any] = ring.Ring[T]
 
 // IntRing is Z; FloatRing is R.
@@ -276,12 +283,6 @@ type ParallelEngine[P any] = ivm.Parallel[P]
 func NewParallel[P any](q Query, r Ring[P], workers int, factory func() (Maintainer[P], error)) (*ParallelEngine[P], error) {
 	return ivm.NewParallel[P](q, r, workers, factory)
 }
-
-// MutableRing is the optional ring extension for allocation-free in-place
-// payload accumulation (implemented by IntRing, FloatRing, CofactorRing,
-// DegreeMapRing, and products of them). Relations detect it automatically
-// and switch to owned, zero-alloc payload accumulation.
-type MutableRing[T any] = ring.Mutable[T]
 
 // ShardedRelation is a relation hash-partitioned on one column; shards of
 // relations partitioned on a shared join column join shard-locally.

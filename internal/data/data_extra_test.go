@@ -15,18 +15,23 @@ func TestRelationAccessors(t *testing.T) {
 	if r.Ring() == nil {
 		t.Error("Ring accessor")
 	}
-	key := Ints(1, 2).Key()
-	if p, ok := r.GetKey(key); !ok || p != 5 {
-		t.Errorf("GetKey = %v,%v", p, ok)
+	if p, ok := r.Get(Ints(1, 2)); !ok || p != 5 {
+		t.Errorf("Get = %v,%v", p, ok)
 	}
-	if _, ok := r.GetKey("nope"); ok {
-		t.Error("GetKey on absent key")
+	if _, ok := r.Get(Ints(9, 9)); ok {
+		t.Error("Get on absent key")
 	}
-	if e, ok := r.EntryKey(key); !ok || !e.Tuple.Equal(Ints(1, 2)) || e.Payload != 5 {
-		t.Errorf("EntryKey = %+v,%v", e, ok)
+	// LookupProjected reaches the stored entry through a projection of a
+	// wider tuple: (X, A, B) projected onto (A, B).
+	proj := MustProjector(NewSchema("X", "A", "B"), r.Schema())
+	if e := r.LookupProjected(proj, Ints(0, 1, 2)); e == nil || !e.Tuple.Equal(Ints(1, 2)) || e.Payload != 5 {
+		t.Errorf("LookupProjected = %+v", e)
 	}
-	if !r.ContainsKey(key) || r.ContainsKey("nope") {
-		t.Error("ContainsKey")
+	if e := r.LookupProjected(proj, Ints(0, 9, 9)); e != nil {
+		t.Errorf("LookupProjected on absent key = %+v", e)
+	}
+	if !r.Contains(Ints(1, 2)) || r.Contains(Ints(9, 9)) {
+		t.Error("Contains")
 	}
 	if got := len(r.Entries()); got != 2 {
 		t.Errorf("Entries = %d", got)

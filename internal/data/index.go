@@ -131,85 +131,56 @@ func (ir *IndexedRelation[P]) MergeIndexed(t Tuple, p P) {
 
 // mergeIndexedRef is MergeIndexed for a heap-resident source payload (another
 // entry's stored payload): the source is read through its pointer, so wide
-// payloads are never copied at the interface boundary. Requires ir.mut != nil.
+// payloads are never copied at the interface boundary.
 func (ir *IndexedRelation[P]) mergeIndexedRef(t Tuple, p *P) {
 	if en := ir.lookup(t); en != nil {
-		ir.touchEntry(en)
-		ir.addIntoEntry(en, p)
-		if ir.isZeroRef(&en.Payload) {
-			ir.removeEntry(en)
-			for _, ix := range ir.indexes {
-				ix.Remove(en)
-			}
-		}
-		return
-	}
-	if ir.isZeroRef(p) {
-		return
-	}
-	key := string(ir.keyBuf) // lookup left t's encoding in the scratch buffer
-	en := ir.insertEntry(key, t)
-	ir.setPayloadRef(en, p)
-	for _, ix := range ir.indexes {
-		ix.Add(en)
+		ir.addIndexedRef(en, p)
+	} else if !ir.ring.IsZeroRef(p) {
+		ir.insertIndexedRef(string(ir.keyBuf), t, p) // lookup left t's encoding in the scratch buffer
 	}
 }
 
-// mergeProjectedIndexed is MergeIndexed for a projected tuple, materializing
-// the projection only on insert. p must point at heap-resident storage and is
-// only read.
+// mergeProjectedIndexed is mergeIndexedRef for a projected tuple,
+// materializing the projection only on insert.
 func (ir *IndexedRelation[P]) mergeProjectedIndexed(proj Projector, t Tuple, p *P) {
 	ir.keyBuf = proj.AppendKey(ir.keyBuf[:0], t)
 	if en := ir.lookupScratch(); en != nil {
-		var zero bool
-		if ir.mut != nil {
-			ir.touchEntry(en)
-			ir.addIntoEntry(en, p)
-			zero = ir.isZeroRef(&en.Payload)
-		} else {
-			s := ir.ring.Add(en.Payload, *p)
-			zero = ir.ring.IsZero(s)
-			if !zero {
-				ir.markEntry(en)
-				en.Payload = s
-			}
-		}
-		if zero {
-			ir.removeEntry(en)
-			for _, ix := range ir.indexes {
-				ix.Remove(en)
-			}
-		}
-		return
+		ir.addIndexedRef(en, p)
+	} else if !ir.ring.IsZeroRef(p) {
+		ir.insertIndexedRef(string(ir.keyBuf), proj.Apply(t), p)
 	}
-	if ir.isZeroRef(p) {
-		return
+}
+
+// addIndexedRef accumulates *p into a stored entry, unindexing the entry if
+// its payload cancels to zero.
+func (ir *IndexedRelation[P]) addIndexedRef(en *Entry[P], p *P) {
+	if !ir.addEntryRef(en, p) {
+		for _, ix := range ir.indexes {
+			ix.Remove(en)
+		}
 	}
-	key := string(ir.keyBuf)
-	en := ir.insertEntry(key, proj.Apply(t))
-	ir.setPayloadRef(en, p)
+}
+
+// insertIndexedRef stores a copy of the non-zero *p under a fresh key and
+// indexes the new entry.
+func (ir *IndexedRelation[P]) insertIndexedRef(key string, t Tuple, p *P) {
+	en := ir.insertEntry(key, t)
+	ir.ring.CopyIntoRef(&en.Payload, p)
 	for _, ix := range ir.indexes {
 		ix.Add(en)
 	}
 }
 
 // MergeAllIndexed merges every entry of o, maintaining indexes. Source
-// payloads are entry-resident, so rings with pointer-source accumulation
-// merge them without copying.
+// payloads are entry-resident, so they are merged through pointers without
+// copying.
 func (ir *IndexedRelation[P]) MergeAllIndexed(o *Relation[P]) {
 	if !ir.Schema().Equal(o.Schema()) && !ir.Schema().SameSet(o.Schema()) {
 		panic(fmt.Sprintf("data: merge of incompatible schemas %v and %v", ir.Schema(), o.Schema()))
 	}
 	if ir.Schema().Equal(o.Schema()) {
-		if ir.mut != nil {
-			o.entries.all(func(e *Entry[P]) bool {
-				ir.mergeIndexedRef(e.Tuple, &e.Payload)
-				return true
-			})
-			return
-		}
 		o.entries.all(func(e *Entry[P]) bool {
-			ir.MergeIndexed(e.Tuple, e.Payload)
+			ir.mergeIndexedRef(e.Tuple, &e.Payload)
 			return true
 		})
 		return

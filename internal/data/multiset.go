@@ -203,6 +203,11 @@ func (m *Multiset) String() string {
 // {() -> 1}. Within a view tree the operand schemas of + always agree and
 // the operand schemas of * are disjoint, which keeps this a ring for our
 // purposes (paper footnote 2).
+//
+// Multisets are never mutated once built, so the ring's in-place forms
+// replace *dst instead of writing into it (AddInto is *dst = Add(*dst, src),
+// CopyInto shares src): payloads keep the costs and sharing of the immutable
+// operations, and snapshots holding an old multiset never observe a merge.
 type RelRing struct{}
 
 // Zero returns the empty multiset (represented as nil).
@@ -313,3 +318,30 @@ func (RelRing) Bytes(a *Multiset) int {
 	}
 	return n
 }
+
+// AddInto sets *dst = *dst + src.
+func (r RelRing) AddInto(dst **Multiset, src *Multiset) { *dst = r.Add(*dst, src) }
+
+// MulInto sets *dst = *a * *b.
+func (r RelRing) MulInto(dst, a, b **Multiset) { *dst = r.Mul(*a, *b) }
+
+// MulAddInto sets *dst = *dst + *a * *b.
+func (r RelRing) MulAddInto(dst, a, b **Multiset) { *dst = r.Add(*dst, r.Mul(*a, *b)) }
+
+// CopyInto sets *dst = src, sharing the immutable multiset.
+func (RelRing) CopyInto(dst **Multiset, src *Multiset) { *dst = src }
+
+// IsOne reports whether *a is {() -> 1}.
+func (RelRing) IsOne(a **Multiset) bool {
+	m := *a
+	return len(m.Schema()) == 0 && m.Len() == 1 && m.rows[""].mult == 1
+}
+
+// AddIntoRef sets *dst = *dst + *src.
+func (r RelRing) AddIntoRef(dst, src **Multiset) { *dst = r.Add(*dst, *src) }
+
+// CopyIntoRef sets *dst = *src, sharing the immutable multiset.
+func (RelRing) CopyIntoRef(dst, src **Multiset) { *dst = *src }
+
+// IsZeroRef reports whether *p has empty support.
+func (RelRing) IsZeroRef(p **Multiset) bool { return (*p).Len() == 0 }

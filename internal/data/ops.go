@@ -103,7 +103,7 @@ func MarginalizeVars[P any](r *Relation[P], vars Schema, lift LiftFunc[P]) *Rela
 	r.entries.all(func(e *Entry[P]) bool {
 		// Combine the liftings first: they are small ring elements, while
 		// the payload may be large, so it joins the product once — directly
-		// inside the output's stored payload for mutable rings.
+		// inside the output's stored payload.
 		if len(vars) > 0 {
 			lp := lift(vars[0], e.Tuple[idx[0]])
 			for i, x := range vars[1:] {

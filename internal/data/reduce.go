@@ -14,15 +14,14 @@ import "fivm/internal/ring"
 //
 // The inputs must share a schema (same variables in the same order, so equal
 // tuples have equal encoded keys) and stay unmodified for the duration of
-// the call only: entry values are copied out, and payloads of rings with
-// in-place accumulation are deep-copied, so later mutation of the inputs
-// never bleeds into the returned snapshot. Keys whose payloads sum to zero
+// the call only: entry values are copied out with payloads copied by the
+// ring's CopyInto, so later mutation of the inputs never bleeds into the
+// returned snapshot. Keys whose payloads sum to zero
 // are dropped, matching Relation.Merge semantics. Where payloads are summed,
 // the combination order is sorted-key encounter order, which differs from
 // any sequential update order — non-integral float payloads may round
 // differently than an unsharded run (see Parallel's floating-point caveat).
 func ReduceSealed[P any](rg ring.Ring[P], schema Schema, parts []*Relation[P]) *RelationSnapshot[P] {
-	mut := ring.MutableOf(rg)
 	total := 0
 	for _, p := range parts {
 		total += p.Len()
@@ -30,13 +29,8 @@ func ReduceSealed[P any](rg ring.Ring[P], schema Schema, parts []*Relation[P]) *
 	es := make([]Entry[P], 0, total)
 	for _, p := range parts {
 		p.entries.all(func(e *Entry[P]) bool {
-			c := sealed(e)
-			if mut != nil {
-				var o P
-				mut.CopyInto(&o, e.Payload)
-				c.Payload = o
-			}
-			es = append(es, c)
+			es = append(es, Entry[P]{key: e.key, hash: e.hash, Tuple: e.Tuple})
+			rg.CopyIntoRef(&es[len(es)-1].Payload, &e.Payload)
 			return true
 		})
 	}
@@ -45,14 +39,10 @@ func ReduceSealed[P any](rg ring.Ring[P], schema Schema, parts []*Relation[P]) *
 	for i := 0; i < len(es); {
 		j := i + 1
 		for j < len(es) && es[j].key == es[i].key {
-			if mut != nil {
-				mut.AddInto(&es[i].Payload, es[j].Payload)
-			} else {
-				es[i].Payload = rg.Add(es[i].Payload, es[j].Payload)
-			}
+			rg.AddIntoRef(&es[i].Payload, &es[j].Payload)
 			j++
 		}
-		if j == i+1 || !rg.IsZero(es[i].Payload) {
+		if j == i+1 || !rg.IsZeroRef(&es[i].Payload) {
 			es[w] = es[i]
 			w++
 		}

@@ -43,11 +43,11 @@ func (e *Entry[P]) Key() string { return e.key }
 // IterateEntries, MergeAll's source side — does not touch the scratch and
 // may be shared read-only across goroutines).
 //
-// When the payload ring implements ring.Mutable, the relation switches to
-// owned accumulation: payloads are deep-copied on first store and mutated in
-// place by later merges, so steady-state payload accumulation does zero
-// allocations. Payloads read out of such a relation are snapshots only
-// until its next update.
+// Payloads are owned: a stored payload is the ring's CopyInto copy of the
+// merged value, and later merges accumulate into it in place (AddInto,
+// MulAddInto), so steady-state payload accumulation does zero allocations
+// for rings with reusable payload storage. Payloads read out of a relation
+// are snapshots only until its next update (see ring.Ring).
 //
 // For concurrent readers, Snapshot publishes an immutable RelationSnapshot
 // of the current contents at O(changed-since-last-snapshot) cost; sealed
@@ -56,8 +56,6 @@ func (e *Entry[P]) Key() string { return e.key }
 type Relation[P any] struct {
 	schema  Schema
 	ring    ring.Ring[P]
-	mut     ring.Mutable[P]    // non-nil when the ring supports in-place accumulation
-	mutRef  ring.MutableRef[P] // non-nil when the ring additionally takes pointer sources
 	entries entryTable[P]
 	keyBuf  []byte
 	// keyHash is the hash of the key most recently encoded into keyBuf (or
@@ -81,19 +79,7 @@ type Relation[P any] struct {
 
 // NewRelation creates an empty relation over the given ring and schema.
 func NewRelation[P any](r ring.Ring[P], schema Schema) *Relation[P] {
-	return &Relation[P]{schema: schema, ring: r, mut: ring.MutableOf(r), mutRef: ring.MutableRefOf(r)}
-}
-
-// owned returns the payload to store for a fresh entry: a deep copy when the
-// ring supports in-place accumulation (so later merges may mutate it), the
-// value itself otherwise (immutable by the ring contract).
-func (r *Relation[P]) owned(p P) P {
-	if r.mut == nil {
-		return p
-	}
-	var o P
-	r.mut.CopyInto(&o, p)
-	return o
+	return &Relation[P]{schema: schema, ring: r}
 }
 
 // Schema returns the relation's schema.
@@ -182,11 +168,11 @@ func (r *Relation[P]) noteDelete() {
 }
 
 // RecycleCleared makes Clear feed removed entries into a freelist that
-// fresh stores pop from, reusing the Entry struct and (for rings with
-// in-place accumulation) its payload storage. Safe only for relations whose
-// consumers never hold an *Entry, or a mutable-ring payload read from one,
-// across a Clear — the delta-propagation scratch relations qualify: views
-// copy what they keep. Stored tuples are never reused.
+// fresh stores pop from, reusing the Entry struct and its payload storage.
+// Safe only for relations whose consumers never hold an *Entry, or a
+// payload with reusable storage read from one, across a Clear — the
+// delta-propagation scratch relations qualify: views copy what they keep.
+// Stored tuples are never reused.
 func (r *Relation[P]) RecycleCleared() { r.recycle = true }
 
 // removeEntry deletes an entry and reports the transition to the
@@ -275,100 +261,73 @@ func (r *Relation[P]) LookupProjected(proj Projector, t Tuple) *Entry[P] {
 	return r.lookupScratch()
 }
 
-// GetKey returns the payload stored under an encoded key.
-func (r *Relation[P]) GetKey(key string) (P, bool) {
-	if e := r.lookupString(key); e != nil {
-		return e.Payload, true
-	}
-	var zero P
-	return zero, false
-}
-
-// EntryKey returns the full entry stored under an encoded key.
-func (r *Relation[P]) EntryKey(key string) (*Entry[P], bool) {
-	e := r.lookupString(key)
-	return e, e != nil
-}
-
 // Contains reports whether tuple t has a non-zero payload.
 func (r *Relation[P]) Contains(t Tuple) bool { return r.lookup(t) != nil }
 
-// ContainsKey reports whether the encoded key has a non-zero payload.
-func (r *Relation[P]) ContainsKey(key string) bool {
-	return r.lookupString(key) != nil
-}
-
 // Set assigns payload p to tuple t, deleting the key if p is zero.
 func (r *Relation[P]) Set(t Tuple, p P) {
-	if e := r.lookup(t); e != nil {
-		if r.ring.IsZero(p) {
-			r.removeEntry(e)
-			return
-		}
-		if r.mut != nil {
-			if s := r.snap; s != nil && e.gen != s.gen {
-				// Storage shared with a snapshot: overwrite into fresh storage
-				// (no point privatizing the old payload just to discard it).
-				var o P
-				r.mut.CopyInto(&o, p)
-				e.Payload = o
-				e.gen = s.gen
-				s.dirtyKeys = append(s.dirtyKeys, e.key)
-				return
-			}
-			r.mut.CopyInto(&e.Payload, p) // reuse the owned payload's storage
-			return
-		}
-		r.markEntry(e)
-		e.Payload = p
-		return
-	}
+	e := r.lookup(t)
 	if r.ring.IsZero(p) {
+		if e != nil {
+			r.removeEntry(e)
+		}
 		return
 	}
-	key := string(r.keyBuf) // lookup left t's encoding in the scratch buffer
-	r.setPayload(r.insertEntry(key, t), p)
+	if e == nil {
+		e = r.insertEntry(string(r.keyBuf), t) // lookup left t's encoding in the scratch buffer
+	} else if s := r.snap; s != nil && e.gen != s.gen {
+		// Storage shared with a snapshot: copy into fresh storage (no point
+		// privatizing the old payload just to discard it).
+		var fresh P
+		e.Payload = fresh
+		r.markEntry(e)
+	}
+	r.ring.CopyInto(&e.Payload, p) // reuse the owned payload's storage
 }
 
-// setPayload assigns p to a freshly inserted entry, deep-copying into the
-// entry's (possibly recycled) storage for rings with in-place accumulation.
-func (r *Relation[P]) setPayload(e *Entry[P], p P) {
-	if r.mut != nil {
-		r.mut.CopyInto(&e.Payload, p)
-		return
-	}
-	e.Payload = p
+// addEntry accumulates p into a stored entry in place, removing the entry if
+// its payload cancels to zero; it reports whether the entry survives.
+func (r *Relation[P]) addEntry(e *Entry[P], p P) bool {
+	r.touchEntry(e)
+	r.ring.AddInto(&e.Payload, p)
+	return r.keepNonZero(e)
 }
 
-// isZeroRef reports whether *p is zero, reading through the pointer when the
-// ring supports it (a by-value IsZero copies the payload header — 80 bytes
-// for a cofactor triple — per call).
-func (r *Relation[P]) isZeroRef(p *P) bool {
-	if r.mutRef != nil {
-		return r.mutRef.IsZeroRef(p)
-	}
-	return r.ring.IsZero(*p)
+// addEntryRef is addEntry for a heap-resident source payload (another
+// entry's stored payload, an owned accumulator field), read through its
+// pointer so wide payloads are never copied at the interface boundary.
+func (r *Relation[P]) addEntryRef(e *Entry[P], p *P) bool {
+	r.touchEntry(e)
+	r.ring.AddIntoRef(&e.Payload, p)
+	return r.keepNonZero(e)
 }
 
-// addIntoEntry accumulates *p into e's payload in place, with a pointer
-// source when the ring supports it. p must point at heap-resident storage
-// (another entry's payload, an owned accumulator field) — see
-// ring.MutableRef. Requires r.mut != nil.
-func (r *Relation[P]) addIntoEntry(e *Entry[P], p *P) {
-	if r.mutRef != nil {
-		r.mutRef.AddIntoRef(&e.Payload, p)
-		return
-	}
-	r.mut.AddInto(&e.Payload, *p)
+// mulAddEntry accumulates the product (*a)*(*b) into a stored entry in
+// place, removing the entry if its payload cancels to zero.
+func (r *Relation[P]) mulAddEntry(e *Entry[P], a, b *P) {
+	r.touchEntry(e)
+	r.ring.MulAddInto(&e.Payload, a, b)
+	r.keepNonZero(e)
 }
 
-// setPayloadRef is setPayload for a heap-resident source payload.
-func (r *Relation[P]) setPayloadRef(e *Entry[P], p *P) {
-	if r.mutRef != nil {
-		r.mutRef.CopyIntoRef(&e.Payload, p)
-		return
+// keepNonZero removes e if its payload is zero and reports whether it stays.
+func (r *Relation[P]) keepNonZero(e *Entry[P]) bool {
+	if r.ring.IsZeroRef(&e.Payload) {
+		r.removeEntry(e)
+		return false
 	}
-	r.setPayload(e, *p)
+	return true
+}
+
+// insertProduct stores (*a)*(*b) under a fresh key, computed directly into
+// the (possibly recycled) entry's storage, and drops the entry again if the
+// product is zero.
+func (r *Relation[P]) insertProduct(key string, t Tuple, a, b *P) {
+	e := r.insertEntry(key, t)
+	r.ring.MulInto(&e.Payload, a, b)
+	if r.ring.IsZeroRef(&e.Payload) {
+		r.dropFresh(e)
+	}
 }
 
 // mergeEntry adds p to the payload of tuple t and reports the affected entry
@@ -376,30 +335,13 @@ func (r *Relation[P]) setPayloadRef(e *Entry[P], p *P) {
 // index maintenance can react to appearance and disappearance.
 func (r *Relation[P]) mergeEntry(t Tuple, p P) (en *Entry[P], existed, exists bool) {
 	if e := r.lookup(t); e != nil {
-		if r.mut != nil {
-			r.touchEntry(e)
-			r.mut.AddInto(&e.Payload, p)
-			if r.isZeroRef(&e.Payload) {
-				r.removeEntry(e)
-				return e, true, false
-			}
-			return e, true, true
-		}
-		s := r.ring.Add(e.Payload, p)
-		if r.ring.IsZero(s) {
-			r.removeEntry(e)
-			return e, true, false
-		}
-		r.markEntry(e)
-		e.Payload = s
-		return e, true, true
+		return e, true, r.addEntry(e, p)
 	}
 	if r.ring.IsZero(p) {
 		return nil, false, false
 	}
-	key := string(r.keyBuf) // lookup left t's encoding in the scratch buffer
-	e := r.insertEntry(key, t)
-	r.setPayload(e, p)
+	e := r.insertEntry(string(r.keyBuf), t) // lookup left t's encoding in the scratch buffer
+	r.ring.CopyInto(&e.Payload, p)
 	return e, false, true
 }
 
@@ -425,52 +367,21 @@ func (r *Relation[P]) Merge(t Tuple, p P) P {
 func (r *Relation[P]) MergeProjected(proj Projector, t Tuple, p P) {
 	r.keyBuf = proj.AppendKey(r.keyBuf[:0], t)
 	if e := r.lookupScratch(); e != nil {
-		if r.mut != nil {
-			r.touchEntry(e)
-			r.mut.AddInto(&e.Payload, p)
-			if r.isZeroRef(&e.Payload) {
-				r.removeEntry(e)
-			}
-			return
-		}
-		s := r.ring.Add(e.Payload, p)
-		if r.ring.IsZero(s) {
-			r.removeEntry(e)
-			return
-		}
-		r.markEntry(e)
-		e.Payload = s
-		return
+		r.addEntry(e, p)
+	} else if !r.ring.IsZero(p) {
+		e := r.insertEntry(string(r.keyBuf), r.projApply(proj, t))
+		r.ring.CopyInto(&e.Payload, p)
 	}
-	if r.ring.IsZero(p) {
-		return
-	}
-	key := string(r.keyBuf)
-	r.setPayload(r.insertEntry(key, r.projApply(proj, t)), p)
 }
 
-// MergeMul merges the product (*a)*(*b) under tuple t. For rings with
-// in-place accumulation the product is computed directly into the stored
-// payload (zero allocations for existing keys); otherwise it falls back to
-// Merge(t, a*b). The operands are only read.
+// MergeMul merges the product (*a)*(*b) under tuple t, computed directly
+// into the stored payload (zero allocations for existing keys of rings with
+// reusable payload storage). The operands are only read.
 func (r *Relation[P]) MergeMul(t Tuple, a, b *P) {
-	if r.mut == nil {
-		r.Merge(t, r.ring.Mul(*a, *b))
-		return
-	}
 	if e := r.lookup(t); e != nil {
-		r.touchEntry(e)
-		r.mut.MulAddInto(&e.Payload, a, b)
-		if r.isZeroRef(&e.Payload) {
-			r.removeEntry(e)
-		}
-		return
-	}
-	key := string(r.keyBuf) // lookup left t's encoding in the scratch buffer
-	e := r.insertEntry(key, t)
-	r.mut.MulInto(&e.Payload, a, b)
-	if r.isZeroRef(&e.Payload) {
-		r.dropFresh(e)
+		r.mulAddEntry(e, a, b)
+	} else {
+		r.insertProduct(string(r.keyBuf), t, a, b) // lookup left t's encoding in the scratch buffer
 	}
 }
 
@@ -486,28 +397,15 @@ func (r *Relation[P]) dropFresh(e *Entry[P]) {
 
 // MergeMulProjected merges the product (*a)*(*b) under the projection of t
 // by proj: out[π(t)] += a*b, the innermost operation of delta propagation.
-// For rings with in-place accumulation the product lands directly in the
-// stored payload, so merges onto existing keys do zero allocations. The
+// The product lands directly in the stored payload, so merges onto existing
+// keys of rings with reusable payload storage do zero allocations. The
 // operands are only read.
 func (r *Relation[P]) MergeMulProjected(proj Projector, t Tuple, a, b *P) {
-	if r.mut == nil {
-		r.MergeProjected(proj, t, r.ring.Mul(*a, *b))
-		return
-	}
 	r.keyBuf = proj.AppendKey(r.keyBuf[:0], t)
 	if e := r.lookupScratch(); e != nil {
-		r.touchEntry(e)
-		r.mut.MulAddInto(&e.Payload, a, b)
-		if r.isZeroRef(&e.Payload) {
-			r.removeEntry(e)
-		}
-		return
-	}
-	key := string(r.keyBuf)
-	e := r.insertEntry(key, r.projApply(proj, t))
-	r.mut.MulInto(&e.Payload, a, b)
-	if r.isZeroRef(&e.Payload) {
-		r.dropFresh(e)
+		r.mulAddEntry(e, a, b)
+	} else {
+		r.insertProduct(string(r.keyBuf), r.projApply(proj, t), a, b)
 	}
 }
 
@@ -520,85 +418,32 @@ func (r *Relation[P]) MergeMulProjected(proj Projector, t Tuple, a, b *P) {
 func (r *Relation[P]) MergeProjectedKey(key []byte, proj Projector, t Tuple, p *P) {
 	r.keyHash = hashBytes(key)
 	if e := r.entries.getBytes(r.keyHash, key); e != nil {
-		if r.mut != nil {
-			r.touchEntry(e)
-			r.addIntoEntry(e, p)
-			if r.isZeroRef(&e.Payload) {
-				r.removeEntry(e)
-			}
-			return
-		}
-		s := r.ring.Add(e.Payload, *p)
-		if r.ring.IsZero(s) {
-			r.removeEntry(e)
-			return
-		}
-		r.markEntry(e)
-		e.Payload = s
-		return
+		r.addEntryRef(e, p)
+	} else if !r.ring.IsZeroRef(p) {
+		e := r.insertEntry(string(key), r.projApply(proj, t))
+		r.ring.CopyIntoRef(&e.Payload, p)
 	}
-	if r.isZeroRef(p) {
-		return
-	}
-	r.setPayloadRef(r.insertEntry(string(key), r.projApply(proj, t)), p)
 }
 
 // MergeKey is Merge for a pre-encoded key.
 func (r *Relation[P]) MergeKey(key string, t Tuple, p P) {
 	if e := r.lookupString(key); e != nil {
-		if r.mut != nil {
-			r.touchEntry(e)
-			r.mut.AddInto(&e.Payload, p)
-			if r.isZeroRef(&e.Payload) {
-				r.removeEntry(e)
-			}
-			return
-		}
-		s := r.ring.Add(e.Payload, p)
-		if r.ring.IsZero(s) {
-			r.removeEntry(e)
-			return
-		}
-		r.markEntry(e)
-		e.Payload = s
-		return
-	}
-	if !r.ring.IsZero(p) {
-		r.setPayload(r.insertEntry(key, t), p)
-	}
-}
-
-// mergeKeyRef is MergeKey for a heap-resident source payload: the source is
-// read through its pointer, so wide payloads are never copied at the
-// interface boundary. Requires r.mut != nil.
-func (r *Relation[P]) mergeKeyRef(key string, t Tuple, p *P) {
-	if e := r.lookupString(key); e != nil {
-		r.touchEntry(e)
-		r.addIntoEntry(e, p)
-		if r.isZeroRef(&e.Payload) {
-			r.removeEntry(e)
-		}
-		return
-	}
-	if !r.isZeroRef(p) {
-		r.setPayloadRef(r.insertEntry(key, t), p)
+		r.addEntry(e, p)
+	} else if !r.ring.IsZero(p) {
+		r.ring.CopyInto(&r.insertEntry(key, t).Payload, p)
 	}
 }
 
 // MergeAll merges every entry of o into r: r := r ⊎ o. The relations must
 // share a schema (same variables in the same order). Source payloads are
-// entry-resident, so rings with pointer-source accumulation merge them
-// without copying.
+// entry-resident, so they are merged through pointers without copying.
 func (r *Relation[P]) MergeAll(o *Relation[P]) {
-	if r.mut != nil {
-		o.entries.all(func(e *Entry[P]) bool {
-			r.mergeKeyRef(e.key, e.Tuple, &e.Payload)
-			return true
-		})
-		return
-	}
 	o.entries.all(func(e *Entry[P]) bool {
-		r.MergeKey(e.key, e.Tuple, e.Payload)
+		if en := r.lookupString(e.key); en != nil {
+			r.addEntryRef(en, &e.Payload)
+		} else if !r.ring.IsZeroRef(&e.Payload) {
+			r.ring.CopyIntoRef(&r.insertEntry(e.key, e.Tuple).Payload, &e.Payload)
+		}
 		return true
 	})
 }
@@ -640,25 +485,15 @@ func (r *Relation[P]) SortedEntries() []Entry[P] {
 }
 
 // Clone returns a copy sharing tuples but no entry or table structure.
-// Payloads are shared for immutable rings and deep-copied for rings with
-// in-place accumulation, so later merges into either relation never bleed
-// into the other.
+// Payloads are CopyInto copies, so later merges into either relation never
+// bleed into the other.
 func (r *Relation[P]) Clone() *Relation[P] {
-	out := &Relation[P]{schema: r.schema, ring: r.ring, mut: r.mut, mutRef: r.mutRef}
+	out := &Relation[P]{schema: r.schema, ring: r.ring}
 	out.entries.reserve(r.entries.len())
 	r.entries.all(func(e *Entry[P]) bool {
-		c := *e
-		c.gen = 0
-		if r.mutRef != nil {
-			var o P
-			r.mutRef.CopyIntoRef(&o, &e.Payload)
-			c.Payload = o
-		} else if r.mut != nil {
-			var o P
-			r.mut.CopyInto(&o, e.Payload)
-			c.Payload = o
-		}
-		out.adopt(&c)
+		c := &Entry[P]{key: e.key, hash: e.hash, Tuple: e.Tuple}
+		r.ring.CopyIntoRef(&c.Payload, &e.Payload)
+		out.adopt(c)
 		return true
 	})
 	return out
@@ -668,7 +503,7 @@ func (r *Relation[P]) Clone() *Relation[P] {
 // of its payload. A deletion of the tuples of r is expressed as merging
 // r.Negate().
 func (r *Relation[P]) Negate() *Relation[P] {
-	out := &Relation[P]{schema: r.schema, ring: r.ring, mut: r.mut, mutRef: r.mutRef}
+	out := &Relation[P]{schema: r.schema, ring: r.ring}
 	out.entries.reserve(r.entries.len())
 	r.entries.all(func(e *Entry[P]) bool {
 		out.adopt(&Entry[P]{key: e.key, hash: e.hash, Tuple: e.Tuple, Payload: r.ring.Neg(e.Payload)})

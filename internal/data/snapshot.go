@@ -100,40 +100,39 @@ type snapState[P any] struct {
 	refresh int
 	// gen is the publish generation, bumped after every published snapshot.
 	// An entry whose gen is current has already been recorded dirty this
-	// epoch and (for mutable rings) owns private payload storage; an older
-	// gen means the entry is untouched since the last publish and its
-	// mutable payload storage is shared with it, so publishing never
-	// deep-copies payloads — the copy happens on the first re-touch of a
-	// sealed key, and not at all for keys written once (insert-heavy
-	// streams publish with no payload copying).
+	// epoch and owns private payload storage; an older gen means the entry
+	// is untouched since the last publish and its payload storage is
+	// shared with it, so publishing never copies payloads — the copy
+	// happens on the first re-touch of a sealed key, and not at all for
+	// keys written once (insert-heavy streams publish with no payload
+	// copying).
 	gen uint64
 }
 
 // sealed returns the snapshot-owned copy of a live entry: the entry value
-// sharing the (immutable) tuple and the payload. For rings with in-place
-// accumulation the shared payload storage is protected by the entry's
-// generation — the live side privatizes it on the next touch (touchEntry) —
-// so sealing is O(1) regardless of payload size, and entry values land
-// directly in arena runs instead of individual heap allocations.
+// sharing the (immutable) tuple and the payload. The shared payload storage
+// is protected by the entry's generation — the live side privatizes it on
+// the next touch (touchEntry) — so sealing is O(1) regardless of payload
+// size, and entry values land directly in arena runs instead of individual
+// heap allocations.
 func sealed[P any](e *Entry[P]) Entry[P] {
 	return Entry[P]{key: e.key, hash: e.hash, Tuple: e.Tuple, Payload: e.Payload}
 }
 
 // touchEntry prepares a stored entry for an in-place payload mutation: on
 // its first touch per publish epoch it records the key in the dirty list
-// and, for rings with in-place accumulation, privatizes payload storage
-// shared with the last published snapshot. Later touches in the same epoch
+// and privatizes payload storage shared with the last published snapshot (a
+// CopyInto copy into fresh storage). Later touches in the same epoch
 // cost one comparison; relations never snapshotted pay a nil check.
 func (r *Relation[P]) touchEntry(e *Entry[P]) {
 	s := r.snap
 	if s == nil || e.gen == s.gen {
 		return
 	}
-	if r.mut != nil {
-		var o P
-		r.mut.CopyInto(&o, e.Payload)
-		e.Payload = o
-	}
+	shared := e.Payload
+	var fresh P
+	e.Payload = fresh
+	r.ring.CopyInto(&e.Payload, shared)
 	e.gen = s.gen
 	s.dirtyKeys = append(s.dirtyKeys, e.key)
 }

@@ -66,18 +66,33 @@ func TestSnapshotMatchesRelation(t *testing.T) {
 	}
 }
 
-// TestSnapshotMutableRingIsolation checks that snapshots of relations with
-// in-place payload accumulation (owned triples) deep-copy changed payloads:
-// later merges must not bleed into a pinned snapshot.
+// TestSnapshotMutableRingIsolation checks that a pinned snapshot never
+// observes later merges into the payload it shares with the live relation,
+// for a ring with reusable payload storage (cofactor triples, deep-copied on
+// the first touch after a publish) and for the relational ring (whose
+// in-place forms must replace, never mutate, the shared multiset). Each
+// round goes through AddInto (Merge), MulAddInto (MergeMul) and AddIntoRef
+// (MergeAll).
 func TestSnapshotMutableRingIsolation(t *testing.T) {
-	cf := ring.Cofactor{}
-	r := NewRelation[ring.Triple](cf, NewSchema("A"))
-	one := ring.LiftValue(0, 2)
-	r.Merge(Ints(1), one)
+	t.Run("cofactor", func(t *testing.T) {
+		checkSnapshotIsolation[ring.Triple](t, ring.Cofactor{}, ring.LiftValue(0, 2))
+	})
+	t.Run("relring", func(t *testing.T) {
+		checkSnapshotIsolation[*Multiset](t, RelRing{}, MultisetOf(NewSchema("B"), Ints(7), Ints(8)))
+	})
+}
+
+func checkSnapshotIsolation[P any](t *testing.T, rg ring.Ring[P], p P) {
+	r := NewRelation[P](rg, NewSchema("A"))
+	r.Merge(Ints(1), p)
 	s1 := r.Snapshot()
 	fp1 := snapFingerprint(s1)
+	one := rg.One()
+	src := Singleton(rg, NewSchema("A"), Ints(1), p)
 	for i := 0; i < 5; i++ {
-		r.Merge(Ints(1), one) // AddInto mutates the live payload in place
+		r.Merge(Ints(1), p)
+		r.MergeMul(Ints(1), &p, &one)
+		r.MergeAll(src)
 	}
 	s2 := r.Snapshot()
 	if got := snapFingerprint(s1); got != fp1 {

@@ -48,9 +48,10 @@ func batchStrategies[P any](t *testing.T, q query.Query, r ring.Ring[P], lift da
 // runBatchEquivalence drives a batched and a sequential instance of each
 // strategy through identical random batches (with relations repeating inside
 // a batch, so coalescing is exercised) and demands identical results after
-// every batch.
+// every batch. With wantFused, the batched F-IVM and DBT instances must also
+// have taken the sorted-run fuser path at least once.
 func runBatchEquivalence[P any](t *testing.T, q query.Query, r ring.Ring[P], lift data.LiftFunc[P],
-	mkDelta func(rng *rand.Rand, schema data.Schema) *data.Relation[P], eq func(a, b P) bool) {
+	mkDelta func(rng *rand.Rand, schema data.Schema) *data.Relation[P], eq func(a, b P) bool, wantFused bool) {
 	t.Helper()
 	for name, mk := range batchStrategies(t, q, r, lift) {
 		t.Run(name, func(t *testing.T) {
@@ -82,8 +83,33 @@ func runBatchEquivalence[P any](t *testing.T, q query.Query, r ring.Ring[P], lif
 					t.Fatalf("step %d: batched %v vs sequential %v", step, batched.Result(), seq.Result())
 				}
 			}
+			if n, ok := fusedRuns(batched); wantFused && ok && n == 0 {
+				t.Fatal("the sorted-run fuser never ran")
+			}
 		})
 	}
+}
+
+// fusedRuns counts the batches that took the sorted-run fuser path across
+// all of a maintainer's fusers; ok is false for strategies without fusers.
+func fusedRuns[P any](m Maintainer[P]) (n int, ok bool) {
+	switch m := m.(type) {
+	case *Engine[P]:
+		for _, plan := range m.plans {
+			for _, st := range plan.steps {
+				n += st.fuse.fusedN
+			}
+		}
+		return n, true
+	case *Recursive[P]:
+		for _, v := range m.views {
+			for _, d := range v.deltas {
+				n += d.fuse.fusedN
+			}
+		}
+		return n, true
+	}
+	return 0, false
 }
 
 // TestApplyDeltasMatchesSequentialInt checks, over the Z ring, that a batch
@@ -95,7 +121,7 @@ func TestApplyDeltasMatchesSequentialInt(t *testing.T) {
 		func(rng *rand.Rand, schema data.Schema) *data.Relation[int64] {
 			return randomDelta(rng, schema, 4, 1+rng.Intn(4))
 		},
-		eqInt)
+		eqInt, false)
 }
 
 // TestApplyDeltasMatchesSequentialFloat repeats the check over the R ring
@@ -121,7 +147,39 @@ func TestApplyDeltasMatchesSequentialFloat(t *testing.T) {
 		return d
 	}
 	runBatchEquivalence[float64](t, q, ring.Float{}, sumLift, mkDelta,
-		func(a, b float64) bool { return a == b })
+		func(a, b float64) bool { return a == b }, false)
+}
+
+// TestApplyDeltasMatchesSequentialRelRing repeats the check over the
+// relational ring F[Z], whose payloads are immutable multisets updated by
+// the ring's value-replacing in-place forms. Each delta holds 40 tuples
+// whose first column ranges over 3 values and whose others range over 64,
+// so marginalizing steps see at least fuseMinItems work items collapsing
+// onto few output keys: the duplicate-rate gate opens and the sorted-run
+// fuser must run.
+func TestApplyDeltasMatchesSequentialRelRing(t *testing.T) {
+	q := paperQuery("A")
+	rr := data.RelRing{}
+	lift := func(v string, x data.Value) *data.Multiset {
+		if v == "D" {
+			return data.SingletonMultiset(v, x)
+		}
+		return data.UnitMultiset()
+	}
+	mkDelta := func(rng *rand.Rand, schema data.Schema) *data.Relation[*data.Multiset] {
+		d := data.NewRelation[*data.Multiset](rr, schema)
+		for i := 0; i < 40; i++ {
+			tup := make(data.Tuple, len(schema))
+			tup[0] = data.Int(int64(rng.Intn(3)))
+			for j := 1; j < len(tup); j++ {
+				tup[j] = data.Int(int64(rng.Intn(64)))
+			}
+			d.Merge(tup, data.UnitMultisetTimes(int64(rng.Intn(2)+1)))
+		}
+		return d
+	}
+	runBatchEquivalence[*data.Multiset](t, q, rr, lift, mkDelta,
+		func(a, b *data.Multiset) bool { return rr.IsZero(rr.Add(a, rr.Neg(b))) }, true)
 }
 
 // TestApplyDeltasEmptyAndNil checks degenerate batches: empty slices and

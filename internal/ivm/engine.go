@@ -563,7 +563,7 @@ func (e *Engine[P]) ViewCount() int {
 }
 
 // MemoryBytes estimates the heap bytes held by all materialized views,
-// using the ring's Sized implementation when available.
+// using the ring's payload footprint estimate.
 func (e *Engine[P]) MemoryBytes() int {
 	total := 0
 	for _, v := range e.views {
@@ -574,15 +574,10 @@ func (e *Engine[P]) MemoryBytes() int {
 
 // relationBytes estimates the footprint of a relation's entries.
 func relationBytes[P any](r *data.Relation[P]) int {
-	sized, _ := r.Ring().(ring.Sized[P])
+	rg := r.Ring()
 	total := 48
 	r.Iterate(func(t data.Tuple, p P) bool {
-		total += 48 + len(t)*24
-		if sized != nil {
-			total += sized.Bytes(p)
-		} else {
-			total += 16
-		}
+		total += 48 + len(t)*24 + rg.Bytes(p)
 		return true
 	})
 	return total

@@ -62,8 +62,8 @@ const (
 
 // eligible reports whether a batch of n work items qualifies for the timed
 // fuse-vs-merge decision at all.
-func (f *runFuser[P]) eligible(mut ring.Mutable[P], n int) bool {
-	return mut != nil && n >= fuseMinItems && f.dupEWMA >= fuseDupThreshold
+func (f *runFuser[P]) eligible(n int) bool {
+	return n >= fuseMinItems && f.dupEWMA >= fuseDupThreshold
 }
 
 // chooseFused picks the mode for a qualifying batch: alternate while either
@@ -114,10 +114,10 @@ func (f *runFuser[P]) note(n, distinct int) {
 
 // run sorts items by their proj-encoded output key and merges each equal-key
 // run as a single accumulated payload: acc = Σ_run item.p * lift(item.t),
-// built in place with the ring's mutable ops, then merged once under the
+// built with the ring's in-place ops, then merged once under the
 // pre-encoded key. lift must return the run item's lift product (valid until
 // the next lift call). Returns the number of distinct keys merged.
-func (f *runFuser[P]) run(mut ring.Mutable[P], items []workItem[P], proj data.Projector,
+func (f *runFuser[P]) run(r ring.Ring[P], items []workItem[P], proj data.Projector,
 	out *data.Relation[P], lift func(t data.Tuple) *P) int {
 	arena := f.arena[:0]
 	offs := f.offs[:0]
@@ -141,10 +141,10 @@ func (f *runFuser[P]) run(mut ring.Mutable[P], items []workItem[P], proj data.Pr
 			j++
 		}
 		it := items[i]
-		mut.MulInto(&f.acc, it.p, lift(it.t))
+		r.MulInto(&f.acc, it.p, lift(it.t))
 		for m := i + 1; m < j; m++ {
 			it := items[m]
-			mut.MulAddInto(&f.acc, it.p, lift(it.t))
+			r.MulAddInto(&f.acc, it.p, lift(it.t))
 		}
 		out.MergeProjectedKey(keys[i], proj, it.t, &f.acc)
 		distinct++

@@ -30,8 +30,8 @@ type planStep[P any] struct {
 	// per step. Plans are engine-owned and single-threaded; the output
 	// relation is consumed (merged and iterated) before the next exec of the
 	// same step, and its tuples/payloads may be retained by views, which is
-	// safe because tuples are immutable and views copy payloads they intend
-	// to mutate (rings with in-place accumulation store owned deep copies).
+	// safe because tuples are immutable and views store CopyInto copies of
+	// the payloads they accumulate into.
 	items, spare []workItem[P]
 	keyBuf       []byte
 	out          *data.Relation[P]
@@ -240,7 +240,7 @@ func (st *planStep[P]) exec(e *Engine[P], delta *data.Relation[P]) *data.Relatio
 
 	spare := st.spare
 	if st.prods.r == nil {
-		st.prods = newProdBuf[P](e.ring)
+		st.prods = prodBuf[P]{r: e.ring}
 	}
 	st.prods.reset()
 	arena := st.tupArena[:0]
@@ -289,7 +289,7 @@ func (st *planStep[P]) exec(e *Engine[P], delta *data.Relation[P]) *data.Relatio
 		st.out.Clear()
 	}
 	out := st.out
-	timed := len(st.margVars) > 0 && e.opts.PayloadTransform == nil && st.fuse.eligible(st.prods.mut, len(items))
+	timed := len(st.margVars) > 0 && e.opts.PayloadTransform == nil && st.fuse.eligible(len(items))
 	var start time.Time
 	if timed {
 		start = time.Now()
@@ -297,7 +297,7 @@ func (st *planStep[P]) exec(e *Engine[P], delta *data.Relation[P]) *data.Relatio
 			if st.liftFn == nil {
 				st.liftFn = func(t data.Tuple) *P { return st.liftProduct(e, t) }
 			}
-			distinct := st.fuse.run(st.prods.mut, items, st.outProj, out, st.liftFn)
+			distinct := st.fuse.run(e.ring, items, st.outProj, out, st.liftFn)
 			st.fuse.noteCost(true, len(items), time.Since(start))
 			st.fuse.note(len(items), distinct)
 			return out
@@ -307,9 +307,9 @@ func (st *planStep[P]) exec(e *Engine[P], delta *data.Relation[P]) *data.Relatio
 		// Multiply the liftings together first: lift values are small ring
 		// elements, while the accumulated payload can be large (a wide
 		// cofactor triple or a relational payload), so the payload joins the
-		// product once instead of once per variable — and, for rings with
-		// in-place accumulation, directly inside the output's stored payload
-		// via the fused multiply-merge (zero allocations on existing keys).
+		// product once instead of once per variable — directly inside the
+		// output's stored payload via the fused multiply-merge (zero
+		// allocations on existing keys for rings with reusable storage).
 		if len(st.margVars) > 0 {
 			lp := st.liftProduct(e, it.t)
 			if e.opts.PayloadTransform != nil {

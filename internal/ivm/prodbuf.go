@@ -14,28 +14,21 @@ import "fivm/internal/ring"
 // only ever read.
 type prodBuf[P any] struct {
 	r     ring.Ring[P]
-	mut   ring.Mutable[P] // non-nil when the ring supports in-place ops
 	slots []P
-}
-
-func newProdBuf[P any](r ring.Ring[P]) prodBuf[P] {
-	return prodBuf[P]{r: r, mut: ring.MutableOf(r)}
 }
 
 // reset recycles the buffer for a new propagation call.
 func (b *prodBuf[P]) reset() { b.slots = b.slots[:0] }
 
 // product returns a pointer to *a * *pay: one of the operands when the
-// other is the multiplicative identity (as immutable Mul's alias fast path
-// does), otherwise a fresh slot computed with reused storage.
+// other is the multiplicative identity, otherwise a fresh slot computed with
+// reused storage.
 func (b *prodBuf[P]) product(a, pay *P) *P {
-	if b.mut != nil {
-		if b.mut.IsOne(a) {
-			return pay
-		}
-		if b.mut.IsOne(pay) {
-			return a
-		}
+	if b.r.IsOne(a) {
+		return pay
+	}
+	if b.r.IsOne(pay) {
+		return a
 	}
 	if len(b.slots) < cap(b.slots) {
 		b.slots = b.slots[:len(b.slots)+1]
@@ -44,10 +37,6 @@ func (b *prodBuf[P]) product(a, pay *P) *P {
 		b.slots = append(b.slots, zero)
 	}
 	slot := &b.slots[len(b.slots)-1]
-	if b.mut != nil {
-		b.mut.MulInto(slot, a, pay)
-	} else {
-		*slot = b.r.Mul(*a, *pay)
-	}
+	b.r.MulInto(slot, a, pay)
 	return slot
 }

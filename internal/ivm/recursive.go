@@ -328,7 +328,7 @@ func (m *Recursive[P]) viewDelta(v *recView[P], rel string, rd query.RelDef, del
 	})
 	spare := m.spare
 	if m.prods.r == nil {
-		m.prods = newProdBuf[P](m.ring)
+		m.prods = prodBuf[P]{r: m.ring}
 	}
 	m.prods.reset()
 	for _, c := range d.comps {
@@ -360,7 +360,7 @@ func (m *Recursive[P]) viewDelta(v *recView[P], rel string, rd query.RelDef, del
 	m.items, m.spare = items, spare
 	out := data.NewRelation(m.ring, v.free)
 	out.Reserve(len(items))
-	timed := len(d.marg) > 0 && d.fuse.eligible(m.prods.mut, len(items))
+	timed := len(d.marg) > 0 && d.fuse.eligible(len(items))
 	var start time.Time
 	if timed {
 		start = time.Now()
@@ -375,7 +375,7 @@ func (m *Recursive[P]) viewDelta(v *recView[P], rel string, rd query.RelDef, del
 					return &m.liftScratch
 				}
 			}
-			distinct := d.fuse.run(m.prods.mut, items, d.outProj, out, d.liftFn)
+			distinct := d.fuse.run(m.ring, items, d.outProj, out, d.liftFn)
 			d.fuse.noteCost(true, len(items), time.Since(start))
 			d.fuse.note(len(items), distinct)
 			return out

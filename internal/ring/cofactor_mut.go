@@ -1,6 +1,6 @@
 package ring
 
-// In-place triple arithmetic: the Mutable extension of the Cofactor ring.
+// In-place triple arithmetic: the in-place forms of the Cofactor ring.
 //
 // The immutable Add/Mul allocate fresh Vars/S/Q slices on every call, which
 // dominates the allocation profile of cofactor maintenance (every payload
@@ -143,7 +143,7 @@ func (d *Triple) MulAddInto(a, b *Triple) {
 	}
 }
 
-// AddInto accumulates src into *dst: the Mutable extension of Cofactor.
+// AddInto accumulates src into *dst in place.
 func (Cofactor) AddInto(dst *Triple, src Triple) { dst.AddInto(&src) }
 
 // MulInto sets *dst = *a * *b, reusing dst's storage.
@@ -161,8 +161,8 @@ func (Cofactor) CopyInto(dst *Triple, src Triple) { dst.CopyFrom(&src) }
 // IsOne reports whether *a is the multiplicative identity (1, 0, 0).
 func (Cofactor) IsOne(a *Triple) bool { return a.C == 1 && len(a.Vars) == 0 }
 
-// AddIntoRef accumulates *src into *dst: the pointer-source form of AddInto
-// (MutableRef), skipping the 80-byte header copy at the interface boundary.
+// AddIntoRef accumulates *src into *dst: the pointer-source form of AddInto,
+// skipping the 80-byte header copy at the interface boundary.
 func (Cofactor) AddIntoRef(dst, src *Triple) { dst.AddInto(src) }
 
 // CopyIntoRef sets *dst to a deep copy of *src.

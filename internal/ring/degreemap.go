@@ -213,8 +213,8 @@ func (DegreeMap) CopyInto(dst *DegMap, src DegMap) {
 	}
 }
 
-// AddIntoRef accumulates *src into *dst (MutableRef; a map header copy is
-// cheap, so this simply delegates).
+// AddIntoRef accumulates *src into *dst (a map header copy is cheap, so
+// this simply delegates).
 func (r DegreeMap) AddIntoRef(dst, src *DegMap) { r.AddInto(dst, *src) }
 
 // CopyIntoRef sets *dst to a deep copy of *src.

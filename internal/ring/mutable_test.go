@@ -1,64 +1,66 @@
-package ring
+package ring_test
 
 import (
 	"math/rand"
 	"testing"
+
+	"fivm/internal/data"
+	"fivm/internal/ring"
 )
 
-// TestMutableOf checks which rings advertise the in-place extension.
-func TestMutableOf(t *testing.T) {
-	if MutableOf[int64](Int{}) == nil {
-		t.Error("Int should be Mutable")
-	}
-	if MutableOf[float64](Float{}) == nil {
-		t.Error("Float should be Mutable")
-	}
-	if MutableOf[Triple](Cofactor{}) == nil {
-		t.Error("Cofactor should be Mutable")
-	}
-	if MutableOf[DegMap](DegreeMap{}) == nil {
-		t.Error("DegreeMap should be Mutable")
-	}
-	if MutableOf[PairVal[int64, Triple]](NewProduct[int64, Triple](Int{}, Cofactor{})) == nil {
-		t.Error("Product should be Mutable")
-	}
-}
+// Every shipped ring implements the whole payload contract, in-place forms
+// included.
+var (
+	_ ring.Ring[int64]                            = ring.Int{}
+	_ ring.Ring[float64]                          = ring.Float{}
+	_ ring.Ring[ring.Triple]                      = ring.Cofactor{}
+	_ ring.Ring[ring.DegMap]                      = ring.DegreeMap{}
+	_ ring.Ring[ring.PairVal[int64, ring.Triple]] = ring.Product[int64, ring.Triple]{}
+	_ ring.Ring[*data.Multiset]                   = data.RelRing{}
+)
 
 // checkMutableMatchesImmutable drives the in-place operations of a ring
 // against their immutable counterparts on random values, including repeated
 // accumulation into one destination (the steady-state pattern of view
 // payload maintenance).
-func checkMutableMatchesImmutable[T any](t *testing.T, r Ring[T], gen func(*rand.Rand) T, eq func(a, b T) bool) {
+func checkMutableMatchesImmutable[T any](t *testing.T, r ring.Ring[T], gen func(*rand.Rand) T, eq func(a, b T) bool) {
 	t.Helper()
-	m := MutableOf(r)
-	if m == nil {
-		t.Fatal("ring is not Mutable")
-	}
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 300; i++ {
 		a, b := gen(rng), gen(rng)
 
 		var cp T
-		m.CopyInto(&cp, a)
+		r.CopyInto(&cp, a)
 		if !eq(cp, a) {
 			t.Fatalf("CopyInto: %v != %v", cp, a)
 		}
 
 		// IsOne detects exactly the multiplicative identity value.
 		one := r.One()
-		if !m.IsOne(&one) {
+		if !r.IsOne(&one) {
 			t.Fatalf("IsOne(One()) = false")
 		}
 
 		// AddInto on an owned copy matches Add.
-		m.AddInto(&cp, b)
+		r.AddInto(&cp, b)
 		if want := r.Add(a, b); !eq(cp, want) {
 			t.Fatalf("AddInto(%v, %v) = %v, want %v", a, b, cp, want)
 		}
 
+		// The pointer-source twins match the by-value forms.
+		var ref T
+		r.CopyIntoRef(&ref, &a)
+		r.AddIntoRef(&ref, &b)
+		if !eq(ref, cp) {
+			t.Fatalf("CopyIntoRef+AddIntoRef(%v, %v) = %v, want %v", a, b, ref, cp)
+		}
+		if r.IsZeroRef(&a) != r.IsZero(a) {
+			t.Fatalf("IsZeroRef(%v) != IsZero", a)
+		}
+
 		// MulInto matches Mul.
 		var mp T
-		m.MulInto(&mp, &a, &b)
+		r.MulInto(&mp, &a, &b)
 		if want := r.Mul(a, b); !eq(mp, want) {
 			t.Fatalf("MulInto(%v, %v) = %v, want %v", a, b, mp, want)
 		}
@@ -67,8 +69,8 @@ func checkMutableMatchesImmutable[T any](t *testing.T, r Ring[T], gen func(*rand
 		// fresh accumulation base.
 		c := gen(rng)
 		var acc T
-		m.CopyInto(&acc, c)
-		m.MulAddInto(&acc, &a, &b)
+		r.CopyInto(&acc, c)
+		r.MulAddInto(&acc, &a, &b)
 		if want := r.Add(c, r.Mul(a, b)); !eq(acc, want) {
 			t.Fatalf("MulAddInto(%v; %v, %v) = %v, want %v", c, a, b, acc, want)
 		}
@@ -77,11 +79,11 @@ func checkMutableMatchesImmutable[T any](t *testing.T, r Ring[T], gen func(*rand
 		// immutable fold.
 		var chain T
 		z := r.Zero()
-		m.CopyInto(&chain, z)
+		r.CopyInto(&chain, z)
 		want := r.Zero()
 		for j := 0; j < 6; j++ {
 			x, y := gen(rng), gen(rng)
-			m.MulAddInto(&chain, &x, &y)
+			r.MulAddInto(&chain, &x, &y)
 			want = r.Add(want, r.Mul(x, y))
 		}
 		if !eq(chain, want) {
@@ -91,52 +93,79 @@ func checkMutableMatchesImmutable[T any](t *testing.T, r Ring[T], gen func(*rand
 }
 
 func TestCofactorMutableMatchesImmutable(t *testing.T) {
-	checkMutableMatchesImmutable[Triple](t, Cofactor{}, genTriple, tripleEq)
+	checkMutableMatchesImmutable[ring.Triple](t, ring.Cofactor{}, ring.GenTriple, ring.TripleEq)
 }
 
 func TestIntMutableMatchesImmutable(t *testing.T) {
-	checkMutableMatchesImmutable[int64](t, Int{},
+	checkMutableMatchesImmutable[int64](t, ring.Int{},
 		func(r *rand.Rand) int64 { return int64(r.Intn(9) - 4) },
 		func(a, b int64) bool { return a == b })
 }
 
 func TestFloatMutableMatchesImmutable(t *testing.T) {
-	checkMutableMatchesImmutable[float64](t, Float{},
+	checkMutableMatchesImmutable[float64](t, ring.Float{},
 		func(r *rand.Rand) float64 { return float64(r.Intn(9) - 4) },
 		func(a, b float64) bool { return a == b })
 }
 
 func TestDegreeMapMutableMatchesImmutable(t *testing.T) {
-	checkMutableMatchesImmutable[DegMap](t, DegreeMap{}, genDegMap, degMapEq)
+	checkMutableMatchesImmutable[ring.DegMap](t, ring.DegreeMap{}, ring.GenDegMap, ring.DegMapEq)
 }
 
 func TestProductMutableMatchesImmutable(t *testing.T) {
-	r := NewProduct[int64, Triple](Int{}, Cofactor{})
-	checkMutableMatchesImmutable[PairVal[int64, Triple]](t, r,
-		func(rng *rand.Rand) PairVal[int64, Triple] {
-			return PairVal[int64, Triple]{A: int64(rng.Intn(9) - 4), B: genTriple(rng)}
+	r := ring.NewProduct[int64, ring.Triple](ring.Int{}, ring.Cofactor{})
+	checkMutableMatchesImmutable[ring.PairVal[int64, ring.Triple]](t, r,
+		func(rng *rand.Rand) ring.PairVal[int64, ring.Triple] {
+			return ring.PairVal[int64, ring.Triple]{A: int64(rng.Intn(9) - 4), B: ring.GenTriple(rng)}
 		},
-		func(a, b PairVal[int64, Triple]) bool { return a.A == b.A && tripleEq(a.B, b.B) })
+		func(a, b ring.PairVal[int64, ring.Triple]) bool { return a.A == b.A && ring.TripleEq(a.B, b.B) })
+}
+
+// TestRelRingMutableMatchesImmutable runs the property over the relational
+// ring, whose in-place forms replace *dst instead of writing into it. Its
+// CopyInto shares the source, and the AddInto check recomputes the expected
+// sum from that source afterwards, so an AddInto that mutated the shared
+// multiset would fail it.
+func TestRelRingMutableMatchesImmutable(t *testing.T) {
+	rr := data.RelRing{}
+	schema := data.NewSchema("A")
+	gen := func(rng *rand.Rand) *data.Multiset {
+		if rng.Intn(4) == 0 {
+			return rr.Zero()
+		}
+		var pos, neg []data.Tuple
+		for i, n := 0, 1+rng.Intn(5); i < n; i++ {
+			tup := data.Ints(int64(rng.Intn(4)))
+			if rng.Intn(3) == 0 {
+				neg = append(neg, tup)
+			} else {
+				pos = append(pos, tup)
+			}
+		}
+		return rr.Add(data.MultisetOf(schema, pos...), rr.Neg(data.MultisetOf(schema, neg...)))
+	}
+	eq := func(a, b *data.Multiset) bool { return rr.IsZero(rr.Add(a, rr.Neg(b))) }
+	checkMutableMatchesImmutable[*data.Multiset](t, rr, gen, eq)
 }
 
 // TestCopyIntoIsDeep checks that mutating a copy leaves the source intact —
 // the ownership guarantee relations rely on.
 func TestCopyIntoIsDeep(t *testing.T) {
-	cf := Cofactor{}
-	src := LiftValue(1, 3)
-	var cp Triple
+	cf := ring.Cofactor{}
+	src := ring.LiftValue(1, 3)
+	var cp ring.Triple
 	cf.CopyInto(&cp, src)
-	cf.AddInto(&cp, LiftValue(2, 5))
-	if !tripleEq(src, LiftValue(1, 3)) {
+	cf.AddInto(&cp, ring.LiftValue(2, 5))
+	if !ring.TripleEq(src, ring.LiftValue(1, 3)) {
 		t.Fatalf("source triple mutated through copy: %v", src)
 	}
 
-	dm := DegreeMap{}
-	srcM := LiftDegMap(0, 2)
-	var cpM DegMap
+	dm := ring.DegreeMap{}
+	srcM := ring.LiftDegMap(0, 2)
+	var cpM ring.DegMap
 	dm.CopyInto(&cpM, srcM)
-	dm.AddInto(&cpM, LiftDegMap(1, 3))
-	if !degMapEq(srcM, LiftDegMap(0, 2)) {
+	dm.AddInto(&cpM, ring.LiftDegMap(1, 3))
+	if !ring.DegMapEq(srcM, ring.LiftDegMap(0, 2)) {
 		t.Fatalf("source map mutated through copy: %v", srcM)
 	}
 }
@@ -145,18 +174,18 @@ func TestCopyIntoIsDeep(t *testing.T) {
 // accumulator covers the operand's variables, AddInto and MulAddInto do not
 // allocate.
 func TestTripleAddIntoSteadyStateNoAlloc(t *testing.T) {
-	cf := Cofactor{}
+	cf := ring.Cofactor{}
 	acc := cf.Zero()
-	b := cf.Mul(LiftValue(0, 2), cf.Mul(LiftValue(1, 3), LiftValue(2, 4)))
+	b := cf.Mul(ring.LiftValue(0, 2), cf.Mul(ring.LiftValue(1, 3), ring.LiftValue(2, 4)))
 	acc.AddInto(&b) // warm: acc now covers b's variables
 	if n := testing.AllocsPerRun(100, func() { acc.AddInto(&b) }); n != 0 {
 		t.Errorf("steady-state AddInto allocates %.1f/op", n)
 	}
-	x, y := LiftValue(0, 2), cf.Mul(LiftValue(1, 3), LiftValue(2, 4))
+	x, y := ring.LiftValue(0, 2), cf.Mul(ring.LiftValue(1, 3), ring.LiftValue(2, 4))
 	if n := testing.AllocsPerRun(100, func() { acc.MulAddInto(&x, &y) }); n != 0 {
 		t.Errorf("steady-state MulAddInto allocates %.1f/op", n)
 	}
-	var dst Triple
+	var dst ring.Triple
 	cf.MulInto(&dst, &x, &y) // warm dst capacity
 	if n := testing.AllocsPerRun(100, func() { cf.MulInto(&dst, &x, &y) }); n != 0 {
 		t.Errorf("steady-state MulInto allocates %.1f/op", n)

@@ -40,7 +40,7 @@ func (Int) CopyInto(dst *int64, src int64) { *dst = src }
 // IsOne reports *a == 1.
 func (Int) IsOne(a *int64) bool { return *a == 1 }
 
-// AddIntoRef accumulates *src into *dst (MutableRef).
+// AddIntoRef accumulates *src into *dst.
 func (Int) AddIntoRef(dst, src *int64) { *dst += *src }
 
 // CopyIntoRef sets *dst = *src.
@@ -91,7 +91,7 @@ func (Float) CopyInto(dst *float64, src float64) { *dst = src }
 // IsOne reports *a == 1.
 func (Float) IsOne(a *float64) bool { return *a == 1 }
 
-// AddIntoRef accumulates *src into *dst (MutableRef).
+// AddIntoRef accumulates *src into *dst.
 func (Float) AddIntoRef(dst, src *float64) { *dst += *src }
 
 // CopyIntoRef sets *dst = *src.

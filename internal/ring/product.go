@@ -16,34 +16,11 @@ type PairVal[A, B any] struct {
 type Product[A, B any] struct {
 	RA Ring[A]
 	RB Ring[B]
-
-	// ma and mb cache the components' Mutable extensions so the in-place
-	// operations don't pay two interface type assertions per payload merge.
-	// NewProduct fills them; the accessors fall back to asserting lazily for
-	// literal-constructed values.
-	ma Mutable[A]
-	mb Mutable[B]
 }
 
 // NewProduct builds the product of two rings.
 func NewProduct[A, B any](ra Ring[A], rb Ring[B]) Product[A, B] {
-	return Product[A, B]{RA: ra, RB: rb, ma: MutableOf(ra), mb: MutableOf(rb)}
-}
-
-// mutA returns the cached Mutable extension of the A component.
-func (r Product[A, B]) mutA() Mutable[A] {
-	if r.ma != nil {
-		return r.ma
-	}
-	return MutableOf(r.RA)
-}
-
-// mutB returns the cached Mutable extension of the B component.
-func (r Product[A, B]) mutB() Mutable[B] {
-	if r.mb != nil {
-		return r.mb
-	}
-	return MutableOf(r.RB)
+	return Product[A, B]{RA: ra, RB: rb}
 }
 
 // Zero returns (0, 0).
@@ -76,135 +53,55 @@ func (r Product[A, B]) IsZero(a PairVal[A, B]) bool {
 	return r.RA.IsZero(a.A) && r.RB.IsZero(a.B)
 }
 
-// AddInto accumulates component-wise, in place for components whose rings
-// support it and via immutable Add otherwise (an immutable component is then
-// reassigned, never mutated, so sharing its storage stays safe).
+// AddInto accumulates component-wise.
 func (r Product[A, B]) AddInto(dst *PairVal[A, B], src PairVal[A, B]) {
-	if ma := r.mutA(); ma != nil {
-		ma.AddInto(&dst.A, src.A)
-	} else {
-		dst.A = r.RA.Add(dst.A, src.A)
-	}
-	if mb := r.mutB(); mb != nil {
-		mb.AddInto(&dst.B, src.B)
-	} else {
-		dst.B = r.RB.Add(dst.B, src.B)
-	}
+	r.RA.AddInto(&dst.A, src.A)
+	r.RB.AddInto(&dst.B, src.B)
 }
 
 // MulInto sets *dst = a * b component-wise.
 func (r Product[A, B]) MulInto(dst, a, b *PairVal[A, B]) {
-	if ma := r.mutA(); ma != nil {
-		ma.MulInto(&dst.A, &a.A, &b.A)
-	} else {
-		dst.A = r.RA.Mul(a.A, b.A)
-	}
-	if mb := r.mutB(); mb != nil {
-		mb.MulInto(&dst.B, &a.B, &b.B)
-	} else {
-		dst.B = r.RB.Mul(a.B, b.B)
-	}
+	r.RA.MulInto(&dst.A, &a.A, &b.A)
+	r.RB.MulInto(&dst.B, &a.B, &b.B)
 }
 
 // MulAddInto accumulates *dst += a * b component-wise.
 func (r Product[A, B]) MulAddInto(dst, a, b *PairVal[A, B]) {
-	if ma := r.mutA(); ma != nil {
-		ma.MulAddInto(&dst.A, &a.A, &b.A)
-	} else {
-		dst.A = r.RA.Add(dst.A, r.RA.Mul(a.A, b.A))
-	}
-	if mb := r.mutB(); mb != nil {
-		mb.MulAddInto(&dst.B, &a.B, &b.B)
-	} else {
-		dst.B = r.RB.Add(dst.B, r.RB.Mul(a.B, b.B))
-	}
+	r.RA.MulAddInto(&dst.A, &a.A, &b.A)
+	r.RB.MulAddInto(&dst.B, &a.B, &b.B)
 }
 
-// CopyInto sets *dst = src, deep-copying components whose rings support it.
-// Components of immutable rings are shared, which is safe because AddInto
-// and MulAddInto never mutate them in place.
+// CopyInto sets *dst = src component-wise, each component copied as its
+// ring's CopyInto does.
 func (r Product[A, B]) CopyInto(dst *PairVal[A, B], src PairVal[A, B]) {
-	if ma := r.mutA(); ma != nil {
-		ma.CopyInto(&dst.A, src.A)
-	} else {
-		dst.A = src.A
-	}
-	if mb := r.mutB(); mb != nil {
-		mb.CopyInto(&dst.B, src.B)
-	} else {
-		dst.B = src.B
-	}
+	r.RA.CopyInto(&dst.A, src.A)
+	r.RB.CopyInto(&dst.B, src.B)
 }
 
-// IsOne reports whether both components are their rings' identities; a
-// component of a ring without Mutable makes IsOne conservatively false.
+// IsOne reports whether both components are their rings' identities.
 func (r Product[A, B]) IsOne(a *PairVal[A, B]) bool {
-	ma, mb := r.mutA(), r.mutB()
-	return ma != nil && mb != nil && ma.IsOne(&a.A) && mb.IsOne(&a.B)
+	return r.RA.IsOne(&a.A) && r.RB.IsOne(&a.B)
 }
 
-// AddIntoRef accumulates component-wise with pointer sources, preferring each
-// component's MutableRef, then Mutable, then immutable Add.
+// AddIntoRef accumulates component-wise with pointer sources.
 func (r Product[A, B]) AddIntoRef(dst, src *PairVal[A, B]) {
-	if ra := MutableRefOf(r.RA); ra != nil {
-		ra.AddIntoRef(&dst.A, &src.A)
-	} else if ma := r.mutA(); ma != nil {
-		ma.AddInto(&dst.A, src.A)
-	} else {
-		dst.A = r.RA.Add(dst.A, src.A)
-	}
-	if rb := MutableRefOf(r.RB); rb != nil {
-		rb.AddIntoRef(&dst.B, &src.B)
-	} else if mb := r.mutB(); mb != nil {
-		mb.AddInto(&dst.B, src.B)
-	} else {
-		dst.B = r.RB.Add(dst.B, src.B)
-	}
+	r.RA.AddIntoRef(&dst.A, &src.A)
+	r.RB.AddIntoRef(&dst.B, &src.B)
 }
 
-// CopyIntoRef sets *dst = *src component-wise, deep-copying components whose
-// rings support it (see CopyInto for why sharing immutable components is safe).
+// CopyIntoRef sets *dst = *src component-wise with pointer sources.
 func (r Product[A, B]) CopyIntoRef(dst, src *PairVal[A, B]) {
-	if ra := MutableRefOf(r.RA); ra != nil {
-		ra.CopyIntoRef(&dst.A, &src.A)
-	} else if ma := r.mutA(); ma != nil {
-		ma.CopyInto(&dst.A, src.A)
-	} else {
-		dst.A = src.A
-	}
-	if rb := MutableRefOf(r.RB); rb != nil {
-		rb.CopyIntoRef(&dst.B, &src.B)
-	} else if mb := r.mutB(); mb != nil {
-		mb.CopyInto(&dst.B, src.B)
-	} else {
-		dst.B = src.B
-	}
+	r.RA.CopyIntoRef(&dst.A, &src.A)
+	r.RB.CopyIntoRef(&dst.B, &src.B)
 }
 
 // IsZeroRef reports whether both components are zero, reading through the
 // pointer to avoid copying wide payloads.
 func (r Product[A, B]) IsZeroRef(p *PairVal[A, B]) bool {
-	if ra := MutableRefOf(r.RA); ra != nil {
-		if !ra.IsZeroRef(&p.A) {
-			return false
-		}
-	} else if !r.RA.IsZero(p.A) {
-		return false
-	}
-	if rb := MutableRefOf(r.RB); rb != nil {
-		return rb.IsZeroRef(&p.B)
-	}
-	return r.RB.IsZero(p.B)
+	return r.RA.IsZeroRef(&p.A) && r.RB.IsZeroRef(&p.B)
 }
 
-// Bytes sums the component footprints when both rings are Sized.
+// Bytes sums the component footprints.
 func (r Product[A, B]) Bytes(a PairVal[A, B]) int {
-	n := 16
-	if sa, ok := r.RA.(Sized[A]); ok {
-		n += sa.Bytes(a.A)
-	}
-	if sb, ok := r.RB.(Sized[B]); ok {
-		n += sb.Bytes(a.B)
-	}
-	return n
+	return 16 + r.RA.Bytes(a.A) + r.RB.Bytes(a.B)
 }

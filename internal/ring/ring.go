@@ -24,10 +24,23 @@ package ring
 // additive inverses). Mul need not be commutative (the matrix ring is not in
 // general), but all rings used by the engine are.
 //
-// Implementations must treat payload values as immutable: Add, Mul, and Neg
-// must not modify their arguments, because views share payload values. Rings
-// may additionally implement Mutable for in-place accumulation; those
-// operations mutate only a destination the caller exclusively owns.
+// Add, Mul, and Neg must not modify their arguments, because views share
+// payload values. The in-place forms (AddInto, MulInto, MulAddInto,
+// CopyInto and their pointer-source twins) write only *dst, and only into
+// storage *dst exclusively owns; sources are never written through. Rings
+// with reusable payload storage (Int, Float, Cofactor, DegreeMap) accumulate
+// into it without allocating, and CopyInto deep-copies so *dst never shares
+// storage with its source. Rings whose payloads are immutable values
+// (data.RelRing) implement the in-place forms by replacing *dst — AddInto is
+// *dst = Add(*dst, src) and CopyInto shares src — which is safe because
+// nothing ever mutates such a payload. Relations rely on this contract:
+// stored payloads are CopyInto copies accumulated in place by later merges,
+// so payloads read out of a relation are snapshots only until its next
+// update.
+//
+// Operands of the in-place forms are passed by pointer: payloads can be
+// wide (a cofactor triple is 80 bytes of header plus its blocks), and the
+// point of these operations is to avoid moving payloads around.
 type Ring[T any] interface {
 	// Zero returns the additive identity.
 	Zero() T
@@ -42,25 +55,7 @@ type Ring[T any] interface {
 	// IsZero reports whether a equals the additive identity. Relations use
 	// it to drop keys whose payloads vanish, keeping supports finite.
 	IsZero(a T) bool
-}
 
-// Mutable is an optional extension implemented by rings whose payloads can
-// be accumulated in place without allocating. The immutable Ring operations
-// return fresh values on every call, which on hot maintenance paths means a
-// fresh slice (or map) per payload merge; the Mutable forms instead write
-// into a destination the caller exclusively owns, reusing its storage.
-//
-// Contract: *dst must be exclusively owned by the caller (no other live
-// value shares its backing storage), and after the call *dst still shares no
-// storage with src, a, or b. Relations detect Mutable at construction and
-// switch to owned accumulation: stored payloads are deep copies (CopyInto)
-// mutated in place by later merges (AddInto/MulAddInto), so payloads read
-// out of a relation are snapshots only until its next update.
-// All operands are passed by pointer: payloads can be wide (a cofactor
-// triple is 80 bytes of header plus its blocks), and the point of these
-// operations is to avoid moving payloads around. Operands are never written
-// through — only *dst is.
-type Mutable[T any] interface {
 	// AddInto accumulates src into *dst in place: *dst += src. src is taken
 	// by value: merge sources usually arrive as by-value parameters, and
 	// passing their address through an interface call would force them to
@@ -72,45 +67,30 @@ type Mutable[T any] interface {
 	// MulAddInto accumulates a product: *dst += *a * *b. dst must not alias
 	// a or b.
 	MulAddInto(dst, a, b *T)
-	// CopyInto sets *dst to a deep copy of src, reusing dst's storage (by
-	// value for the same escape reason as AddInto).
+	// CopyInto sets *dst to a copy of src that later in-place operations on
+	// *dst cannot bleed into src, reusing dst's storage (by value for the
+	// same escape reason as AddInto).
 	CopyInto(dst *T, src T)
 	// IsOne reports whether *a is the multiplicative identity, letting hot
 	// paths skip products by one entirely (sharing the other operand is
 	// always safe: values are never mutated through reads).
 	IsOne(a *T) bool
-}
 
-// MutableOf returns the ring's Mutable extension, or nil if the ring only
-// supports immutable operations.
-func MutableOf[T any](r Ring[T]) Mutable[T] {
-	m, _ := r.(Mutable[T])
-	return m
-}
-
-// MutableRef is an optional refinement of Mutable for rings with wide
-// payloads: the same operations with source operands passed by pointer,
-// skipping the by-value copy at the interface boundary (an 80-byte header
-// copy per call for cofactor triples). Sources are only read.
-//
-// Callers must only pass sources that are already heap-resident — another
-// relation entry's stored payload, an owned accumulator field — because
-// taking the address of a local variable for one of these calls forces it to
-// escape, which is exactly the per-merge allocation Mutable's by-value forms
-// exist to avoid.
-type MutableRef[T any] interface {
-	// AddIntoRef accumulates *src into *dst in place: *dst += *src.
+	// AddIntoRef, CopyIntoRef and IsZeroRef are AddInto, CopyInto and
+	// IsZero with source operands passed by pointer, skipping the by-value
+	// copy at the interface boundary (an 80-byte header copy per call for
+	// cofactor triples). Callers must only pass sources that are already
+	// heap-resident — another relation entry's stored payload, an owned
+	// accumulator field — because taking the address of a local variable
+	// for one of these calls forces it to escape, which is exactly the
+	// per-merge allocation the by-value forms exist to avoid.
 	AddIntoRef(dst, src *T)
-	// CopyIntoRef sets *dst to a deep copy of *src, reusing dst's storage.
 	CopyIntoRef(dst, src *T)
-	// IsZeroRef reports whether *p is the additive identity.
 	IsZeroRef(p *T) bool
-}
 
-// MutableRefOf returns the ring's pointer-source extension, or nil.
-func MutableRefOf[T any](r Ring[T]) MutableRef[T] {
-	m, _ := r.(MutableRef[T])
-	return m
+	// Bytes returns an estimate of the heap bytes held by the payload, for
+	// memory accounting.
+	Bytes(a T) int
 }
 
 // Sub returns a - b, a convenience over Add and Neg.
@@ -141,11 +121,4 @@ func Pow[T any](r Ring[T], a T, n int) T {
 		acc = r.Mul(acc, a)
 	}
 	return acc
-}
-
-// Sized is implemented by rings that can estimate the in-memory footprint of
-// a payload. The benchmark harness uses it for memory accounting.
-type Sized[T any] interface {
-	// Bytes returns an estimate of the heap bytes held by the payload.
-	Bytes(a T) int
 }
