@@ -43,11 +43,11 @@ import (
 //     unreclaimed blocks inflate the collector's heap target, which grows
 //     the cycle further: a high-rate publish loop relying on the backstop
 //     degenerates to plain allocation with extra steps. Release is the fast
-//     path, not a nicety. No production path calls Release today: the ivm
-//     maintainers hand each published handle to an epoch that readers drop
-//     without releasing, so DB-published snapshots are reclaimed by this
-//     backstop. Publishing only the result (Engine.SnapshotResult) keeps
-//     that load to one relation per view.
+//     path, not a nicety. The ivm maintainers Release the handles of every
+//     published epoch no reader loaded, as soon as it is superseded (see
+//     ivm.publisher), so a publish loop nobody reads recycles through the
+//     freelists. Readers do not Release what they loaded: those epochs, and
+//     the generations they belong to, are reclaimed by this backstop.
 //
 // The backstop is a GC cleanup, not a weak.Pointer poll, for a subtle
 // reason beyond cost: polling weak pointers from the publish path resurrects
@@ -129,6 +129,9 @@ type bumpArena[T any] struct {
 	lastBlk   *bumpBlock[T]
 	lastStart int
 	free      []*bumpBlock[T]
+	// fresh counts blocks allocated because the freelist was empty; a
+	// recycling arena stops growing it once warm.
+	fresh int
 }
 
 // alloc returns an empty run with the given strict capacity bound and the
@@ -173,6 +176,7 @@ func (a *bumpArena[T]) take() *bumpBlock[T] {
 	} else {
 		b = &bumpBlock[T]{owner: a}
 		b.buf = make([]T, 0, a.blockCap)
+		a.fresh++
 	}
 	b.rc = 1
 	return b

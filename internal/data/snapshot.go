@@ -40,7 +40,10 @@ const (
 // additional independent owner. Releasing is optional — forgotten snapshots
 // are reclaimed by a GC backstop — but a high-rate publish loop that skips
 // Release makes storage reclamation wait on full collection cycles and
-// loses the arena's recycling entirely (see snaparena.go).
+// loses the arena's recycling entirely (see snaparena.go). The ivm
+// maintainers' epochs own their handles and Release them when superseded
+// unread; a snapshot a reader loaded through an epoch is never Released and
+// stays valid for as long as the reader holds it.
 type RelationSnapshot[P any] struct {
 	schema Schema
 	ring   ring.Ring[P]

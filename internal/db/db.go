@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"fivm/internal/data"
+	"fivm/internal/ivm"
 	"fivm/internal/sqlparse"
 	"fivm/internal/wal"
 )
@@ -141,7 +142,7 @@ type registeredView interface {
 	viewName() string
 	queryRels() []string
 	observe(batch []data.BaseUpdate) error
-	latestSnapshot() any // *ivm.ViewSnapshot[P]
+	holdLatest() any // *ivm.ViewSnapshot[P], held for one Epoch (ivm.HoldLatest)
 	stats() ViewStats
 	viewCount() int
 	memoryBytes() int
@@ -455,16 +456,24 @@ func (d *DB) registerView(v registeredView) {
 // publish assembles and swaps in the next cross-view Epoch from every
 // registered view's latest snapshot. Called at the end of Open, Apply, and
 // view DDL, on the maintenance goroutine.
+//
+// Every Epoch holds each view snapshot it carries (ivm.HoldLatest, which
+// does not mark the snapshot seen). A superseded Epoch that no reader loaded
+// drops its holds, so a view snapshot no reader saw is released as soon as
+// neither its view nor any Epoch holds it, and its arena storage is recycled
+// at the view's next publish. A loaded Epoch keeps its holds: its snapshots
+// return to the arenas through the GC backstop once unreachable.
 func (d *DB) publish() {
 	d.mu.RLock()
 	snaps := make(map[string]any, len(d.views))
 	names := make([]string, len(d.order))
 	copy(names, d.order)
 	for name, v := range d.views {
-		snaps[name] = v.latestSnapshot()
+		snaps[name] = v.holdLatest()
 	}
 	d.mu.RUnlock()
 	d.seq++
+	prev := d.cur.Load()
 	d.cur.Store(&Epoch{
 		Seq:     d.seq,
 		Applied: d.applied,
@@ -472,12 +481,37 @@ func (d *DB) publish() {
 		snaps:   snaps,
 		names:   names,
 	})
+	// Only after the successor is installed: Epoch's mark-and-reload then
+	// guarantees that an unmarked prev can never be returned to a reader.
+	if prev != nil && !prev.seen.Load() {
+		for _, s := range prev.snaps {
+			ivm.DropHold(s)
+		}
+	}
 }
 
 // Epoch returns the latest published cross-view epoch: one consistent
 // snapshot per registered view, all reflecting the same applied prefix of
 // the update stream. Safe from any goroutine; pin it and read lock-free.
-func (d *DB) Epoch() *Epoch { return d.cur.Load() }
+//
+// Epoch marks what it returns as loaded, then re-loads and retries if a
+// newer epoch was installed meanwhile; publish releases only superseded,
+// unmarked epochs, so every epoch a reader obtains stays valid for as long
+// as the reader holds it.
+func (d *DB) Epoch() *Epoch {
+	e := d.cur.Load()
+	for e != nil {
+		if !e.seen.Load() {
+			e.seen.Store(true)
+		}
+		next := d.cur.Load()
+		if next == e {
+			return e
+		}
+		e = next
+	}
+	return nil
+}
 
 // Epoch is one published cross-view state: an immutable set of per-view
 // snapshots taken after the same applied batch (plus the DDL operations up
@@ -492,6 +526,8 @@ type Epoch struct {
 
 	snaps map[string]any
 	names []string
+	// seen records that Epoch returned this epoch to a reader.
+	seen atomic.Bool
 }
 
 // Views returns the epoch's view names in creation order (a copy: epochs

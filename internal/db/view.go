@@ -399,5 +399,5 @@ func ReaderFor[P any](d *DB, view string) (*serve.Reader[P], error) {
 	return serve.NewReaderAt[P](v.m, SnapshotOf[P](d.Epoch(), view)), nil
 }
 
-// latestSnapshot implements registeredView.
-func (v *View[P]) latestSnapshot() any { return v.m.Snapshot() }
+// holdLatest implements registeredView.
+func (v *View[P]) holdLatest() any { return ivm.HoldLatest(v.m) }

@@ -26,10 +26,23 @@ type ViewSnapshot[P any] struct {
 	// freshness-lag metric (time.Since(s.At) bounds a reader's staleness).
 	At time.Time
 
+	// views owns one reference to each relation snapshot it catalogs (one
+	// Relation.Snapshot handle per entry; sealed entries carry none), and
+	// result is one of them or a sealed snapshot.
 	result *data.RelationSnapshot[P]
 	views  map[string]*data.RelationSnapshot[P]
 	byNode map[*viewtree.Node]*data.RelationSnapshot[P]
 	names  []string
+
+	// holders counts the writer-side owners keeping the epoch current: the
+	// publisher until it publishes the next epoch, plus one per DB epoch
+	// that carries it (HoldLatest). Writer-goroutine only in practice,
+	// atomic for safety. seen records that a reader loaded the epoch (see
+	// mark); the last holder of an epoch never seen releases its relation
+	// snapshots, so their arena storage is recycled at the next publish
+	// instead of waiting on the GC backstop.
+	holders atomic.Int32
+	seen    atomic.Bool
 }
 
 // Result returns the snapshot of the maintained query result.
@@ -47,6 +60,59 @@ func (s *ViewSnapshot[P]) Views() []string { return s.names }
 // result representation enumerates through it.
 func (s *ViewSnapshot[P]) ViewOf(n *viewtree.Node) *data.RelationSnapshot[P] { return s.byNode[n] }
 
+// mark records that a reader obtained the epoch, which exempts it from
+// release: its storage then returns to the arenas through the GC backstop
+// once no reader holds it. The load-before-store keeps re-reads of a marked
+// epoch from writing its cache line.
+func (s *ViewSnapshot[P]) mark() *ViewSnapshot[P] {
+	if !s.seen.Load() {
+		s.seen.Store(true)
+	}
+	return s
+}
+
+// unhold drops one holder reference. The last one releases the epoch's
+// relation snapshots unless a reader has seen it. Readers mark before they
+// confirm the epoch is still current (publisher.load, db.DB.Epoch), and
+// every holder drops its reference only after a newer epoch is installed,
+// so with sequentially consistent atomics the last unhold either observes
+// the mark or no reader can ever return the epoch.
+func (s *ViewSnapshot[P]) unhold() {
+	if s.holders.Add(-1) != 0 || s.seen.Load() {
+		return
+	}
+	for _, r := range s.views {
+		r.Release()
+	}
+}
+
+// publishing is implemented by the maintainers a coordinator republishes
+// (Engine and Parallel, the ones db.DB builds): it exposes the publisher
+// that holds the maintainer's epochs.
+type publishing[P any] interface {
+	epochs() *publisher[P]
+}
+
+// HoldLatest returns m's latest published epoch with a holder reference
+// taken on it, WITHOUT marking it seen: the caller is a coordinator that
+// republishes the epoch (db.DB), not a reader, and hands it to readers only
+// through a choke point that marks (db.DB.Epoch). The reference must be
+// balanced with DropHold. m must be an Engine or a Parallel with publication
+// enabled, and the call must come from its maintenance goroutine.
+func HoldLatest[P any](m Maintainer[P]) *ViewSnapshot[P] {
+	s := m.(publishing[P]).epochs().cur.Load()
+	s.holders.Add(1)
+	return s
+}
+
+// DropHold drops a reference taken by HoldLatest on s (a *ViewSnapshot[P]
+// of any payload type; other values are ignored). Maintenance goroutine.
+func DropHold(s any) {
+	if h, ok := s.(interface{ unhold() }); ok {
+		h.unhold()
+	}
+}
+
 // publisher is the epoch machinery every maintainer embeds: an atomic
 // pointer to the latest published snapshot. A nil pointer means publication
 // is not enabled; the first Snapshot call on a maintainer enables it.
@@ -61,9 +127,14 @@ func (s *ViewSnapshot[P]) ViewOf(n *viewtree.Node) *data.RelationSnapshot[P] { r
 //     goroutine: it is a single atomic load.
 //   - Maintainers that were never asked for a Snapshot pay nothing on the
 //     maintenance path beyond one atomic load per applied batch.
-//   - Epochs never Release their relation snapshots, and no production
-//     reader does either: a published epoch's storage returns to the
-//     relations' arenas through the GC backstop (see data/snaparena.go)
+//   - An epoch owns the Relation.Snapshot handles it took. The publisher
+//     holds the current epoch and drops its hold when the next one is
+//     installed; a coordinator republishing epochs (db.DB) adds holds of
+//     its own (HoldLatest/DropHold). Snapshot marks every epoch it returns
+//     as seen. When the last hold on an epoch no reader ever saw is
+//     dropped, the epoch Releases its handles and their storage returns to
+//     the relations' arenas at the next publish; a seen epoch is never
+//     released and returns through the GC backstop (see data/snaparena.go)
 //     once no reader holds it.
 type publisher[P any] struct {
 	cur atomic.Pointer[ViewSnapshot[P]]
@@ -81,10 +152,12 @@ func (p *publisher[P]) enabled() bool { return p.cur.Load() != nil }
 // rebuild it (engine replans rename views without changing their count).
 func (p *publisher[P]) invalidateNames() { p.names = nil }
 
-// publish installs the next epoch and returns it.
+// publish installs the next epoch, holding it, drops the publisher's hold on
+// the epoch it replaces, and returns the new one.
 func (p *publisher[P]) publish(result *data.RelationSnapshot[P], views map[string]*data.RelationSnapshot[P], byNode map[*viewtree.Node]*data.RelationSnapshot[P]) *ViewSnapshot[P] {
+	prev := p.cur.Load()
 	var epoch uint64
-	if prev := p.cur.Load(); prev != nil {
+	if prev != nil {
 		epoch = prev.Epoch + 1
 	}
 	if len(p.names) != len(views) {
@@ -96,8 +169,41 @@ func (p *publisher[P]) publish(result *data.RelationSnapshot[P], views map[strin
 		p.names = names
 	}
 	s := &ViewSnapshot[P]{Epoch: epoch, At: time.Now(), result: result, views: views, byNode: byNode, names: p.names}
+	s.holders.Store(1)
 	p.cur.Store(s)
+	if prev != nil {
+		prev.unhold()
+	}
 	return s
+}
+
+func (e *Engine[P]) epochs() *publisher[P] { return &e.pub }
+
+// epochs resolves to the inner engine's publisher for the sequential
+// fallback, which delegates publication to it.
+func (p *Parallel[P]) epochs() *publisher[P] {
+	if p.Sharded() {
+		return &p.pub
+	}
+	return p.shards[0].(publishing[P]).epochs()
+}
+
+// load returns the latest published epoch marked seen, or nil before
+// publication is enabled. It marks, then re-loads and retries if a newer
+// epoch was installed meanwhile: the writer retires an epoch only after
+// installing its successor, so an epoch load returns was current after its
+// mark landed, and the retiring writer's unhold observes the mark.
+func (p *publisher[P]) load() *ViewSnapshot[P] {
+	s := p.cur.Load()
+	for s != nil {
+		s.mark()
+		next := p.cur.Load()
+		if next == s {
+			return s
+		}
+		s = next
+	}
+	return nil
 }
 
 // basesViews snapshots every stored base relation into a fresh catalog map
@@ -144,10 +250,10 @@ func (c *sealCache[P]) of(r *data.Relation[P]) *data.RelationSnapshot[P] {
 // materialized views, enabling publication on first use (see publisher for
 // the concurrency contract).
 func (e *Engine[P]) Snapshot() *ViewSnapshot[P] {
-	if s := e.pub.cur.Load(); s != nil {
+	if s := e.pub.load(); s != nil {
 		return s
 	}
-	return e.publishSnapshot()
+	return e.publishSnapshot().mark()
 }
 
 // maybePublish publishes a fresh epoch if serving is enabled; maintainers
@@ -172,11 +278,11 @@ type ResultPublisher[P any] interface {
 // privatization or arena copies. Once publication is enabled (in either
 // mode) it returns the latest epoch, exactly like Snapshot.
 func (e *Engine[P]) SnapshotResult() *ViewSnapshot[P] {
-	if s := e.pub.cur.Load(); s != nil {
+	if s := e.pub.load(); s != nil {
 		return s
 	}
 	e.resultOnly = true
-	return e.publishSnapshot()
+	return e.publishSnapshot().mark()
 }
 
 // publishSnapshot snapshots every materialized view (O(changed keys) per
@@ -262,10 +368,10 @@ func (e *Engine[P]) ViewByName(name string) *data.Relation[P] {
 // under the query's name plus the stored base relations under theirs. See
 // publisher for the concurrency contract.
 func (m *FirstOrder[P]) Snapshot() *ViewSnapshot[P] {
-	if s := m.pub.cur.Load(); s != nil {
+	if s := m.pub.load(); s != nil {
 		return s
 	}
-	return m.publishSnapshot()
+	return m.publishSnapshot().mark()
 }
 
 func (m *FirstOrder[P]) maybePublish() {
@@ -292,10 +398,10 @@ func (m *FirstOrder[P]) publishSnapshot() *ViewSnapshot[P] {
 // recursive hierarchy under its signature name, the root as the result. See
 // publisher for the concurrency contract.
 func (m *Recursive[P]) Snapshot() *ViewSnapshot[P] {
-	if s := m.pub.cur.Load(); s != nil {
+	if s := m.pub.load(); s != nil {
 		return s
 	}
-	return m.publishSnapshot()
+	return m.publishSnapshot().mark()
 }
 
 func (m *Recursive[P]) maybePublish() {
@@ -319,10 +425,10 @@ func (m *Recursive[P]) publishSnapshot() *ViewSnapshot[P] {
 // relation; the stored bases snapshot incrementally. See publisher for the
 // concurrency contract.
 func (m *ReEval[P]) Snapshot() *ViewSnapshot[P] {
-	if s := m.pub.cur.Load(); s != nil {
+	if s := m.pub.load(); s != nil {
 		return s
 	}
-	return m.publishSnapshot()
+	return m.publishSnapshot().mark()
 }
 
 func (m *ReEval[P]) maybePublish() {
@@ -348,10 +454,10 @@ func (m *ReEval[P]) publishSnapshot() *ViewSnapshot[P] {
 // Snapshot returns the latest published snapshot; like ReEval, the result is
 // sealed per recomputation. See publisher for the concurrency contract.
 func (m *NaiveReEval[P]) Snapshot() *ViewSnapshot[P] {
-	if s := m.pub.cur.Load(); s != nil {
+	if s := m.pub.load(); s != nil {
 		return s
 	}
-	return m.publishSnapshot()
+	return m.publishSnapshot().mark()
 }
 
 func (m *NaiveReEval[P]) maybePublish() {
@@ -381,10 +487,10 @@ func aggName(i int) string { return "agg" + strconv.Itoa(i) }
 // aggregate ("agg0", "agg1", ...) plus the shared bases, with the count
 // aggregate as the result. See publisher for the concurrency contract.
 func (m *MultiFirstOrder) Snapshot() *ViewSnapshot[float64] {
-	if s := m.pub.cur.Load(); s != nil {
+	if s := m.pub.load(); s != nil {
 		return s
 	}
-	return m.publishSnapshot()
+	return m.publishSnapshot().mark()
 }
 
 func (m *MultiFirstOrder) maybePublish() {
@@ -411,10 +517,10 @@ func (m *MultiFirstOrder) publishSnapshot() *ViewSnapshot[float64] {
 // Snapshot returns the latest published snapshot: one view per scalar
 // aggregate hierarchy root. See publisher for the concurrency contract.
 func (m *MultiRecursive) Snapshot() *ViewSnapshot[float64] {
-	if s := m.pub.cur.Load(); s != nil {
+	if s := m.pub.load(); s != nil {
 		return s
 	}
-	return m.publishSnapshot()
+	return m.publishSnapshot().mark()
 }
 
 func (m *MultiRecursive) maybePublish() {
@@ -442,10 +548,10 @@ func (p *Parallel[P]) Snapshot() *ViewSnapshot[P] {
 	if !p.Sharded() {
 		return p.shards[0].Snapshot()
 	}
-	if s := p.pub.cur.Load(); s != nil {
+	if s := p.pub.load(); s != nil {
 		return s
 	}
-	return p.publishSnapshot()
+	return p.publishSnapshot().mark()
 }
 
 // SnapshotResult enables result-only publication (see

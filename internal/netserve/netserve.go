@@ -58,6 +58,16 @@ type Config struct {
 	MaxScan int
 }
 
+// Connection timeouts. Every keep-alive connection caches readers pinned to
+// the epoch of its last request (connReaders), and a pinned epoch keeps its
+// snapshots' arena storage alive, so a connection that sends nothing must
+// not live for ever: headers must arrive within readHeaderTimeout, and an
+// idle connection is closed after idleTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 60 * time.Second
+)
+
 // Server is the HTTP server. Create with New, start with Serve, stop with
 // Shutdown (which drains in-flight requests before returning).
 type Server struct {
@@ -88,7 +98,9 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("POST /select", s.handleSelect)
 	mux.HandleFunc("POST /apply", s.handleApply)
 	s.hs = &http.Server{
-		Handler: mux,
+		Handler:           mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 		// Each accepted connection gets its own reader cache; see readersOf.
 		ConnContext: func(ctx context.Context, _ net.Conn) context.Context {
 			return context.WithValue(ctx, readersKey{}, &connReaders{})

@@ -1,11 +1,13 @@
 package netserve
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -289,5 +291,60 @@ func TestServeRealListenerAndShutdown(t *testing.T) {
 	}
 	if err := <-serveDone; !errors.Is(err, http.ErrServerClosed) {
 		t.Fatalf("Serve returned %v", err)
+	}
+}
+
+// TestServeClosesIdleConnection: a keep-alive connection that goes quiet is
+// closed by the server, releasing the epoch its reader cache pins. New sets
+// both connection timeouts; the test shortens the idle one on its own
+// server so it runs fast.
+func TestServeClosesIdleConnection(t *testing.T) {
+	d, err := db.Open(testCatalog(), db.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	s, err := New(Config{DB: func() *db.DB { return d }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.hs.ReadHeaderTimeout <= 0 || s.hs.IdleTimeout <= 0 {
+		t.Fatalf("timeouts unset: ReadHeaderTimeout=%v IdleTimeout=%v", s.hs.ReadHeaderTimeout, s.hs.IdleTimeout)
+	}
+	s.hs.IdleTimeout = 100 * time.Millisecond
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(l)
+	defer s.Shutdown(context.Background())
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintf(conn, "GET /views HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /views: status %d", resp.StatusCode)
+	}
+	// Send nothing more: the server must close the connection, which the
+	// client sees as EOF well before its own 10s read deadline.
+	start := time.Now()
+	var buf [1]byte
+	if _, err := conn.Read(buf[:]); err != io.EOF {
+		t.Fatalf("idle connection read: %v, want EOF from a server close", err)
+	}
+	if el := time.Since(start); el > 5*time.Second {
+		t.Fatalf("idle connection closed after %v", el)
 	}
 }

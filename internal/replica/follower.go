@@ -42,9 +42,16 @@ type Follower struct {
 	cfg FollowerConfig
 	cur atomic.Pointer[db.DB]
 
-	mu     sync.Mutex
-	conn   net.Conn
-	closed atomic.Bool
+	// life is cancelled by Close (under mu); every Run watches it, so Close
+	// also stops a Run that is dialing or waiting to redial.
+	life context.Context
+	quit context.CancelFunc
+	// runs counts active Run calls. Close waits for them before closing the
+	// DB: Run applies shipped records, and the DB is single-writer.
+	runs sync.WaitGroup
+
+	mu   sync.Mutex
+	conn net.Conn
 }
 
 // NewFollower opens the follower's DB (recovering a durable one from its
@@ -61,6 +68,7 @@ func NewFollower(cfg FollowerConfig) (*Follower, error) {
 		return nil, err
 	}
 	f := &Follower{cfg: cfg}
+	f.life, f.quit = context.WithCancel(context.Background())
 	f.cur.Store(d)
 	return f, nil
 }
@@ -73,10 +81,22 @@ func (f *Follower) DB() *db.DB { return f.cur.Load() }
 // Run streams from the primary until ctx is cancelled or Close is called,
 // redialing after disconnects. It returns nil on orderly shutdown.
 func (f *Follower) Run(ctx context.Context) error {
-	stop := context.AfterFunc(ctx, func() { f.dropConn() })
+	f.mu.Lock()
+	if f.life.Err() != nil {
+		f.mu.Unlock()
+		return nil
+	}
+	f.runs.Add(1)
+	f.mu.Unlock()
+	defer f.runs.Done()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	stopLife := context.AfterFunc(f.life, cancel)
+	defer stopLife()
+	stop := context.AfterFunc(ctx, f.dropConn)
 	defer stop()
 	for {
-		if f.closed.Load() || ctx.Err() != nil {
+		if ctx.Err() != nil {
 			return nil
 		}
 		f.stream(ctx)
@@ -88,13 +108,17 @@ func (f *Follower) Run(ctx context.Context) error {
 	}
 }
 
-// Close severs the connection and closes the follower DB. Run (if active)
-// returns.
+// Close stops Run (if active) and waits for it to return, then closes the
+// follower DB.
 func (f *Follower) Close() error {
-	if f.closed.Swap(true) {
+	f.mu.Lock()
+	closed := f.life.Err() != nil
+	f.quit()
+	f.mu.Unlock()
+	if closed {
 		return nil
 	}
-	f.dropConn()
+	f.runs.Wait()
 	return f.cur.Load().Close()
 }
 
@@ -111,7 +135,7 @@ func (f *Follower) dropConn() {
 func (f *Follower) setConn(c net.Conn) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed.Load() {
+	if f.life.Err() != nil {
 		return false
 	}
 	f.conn = c
@@ -133,7 +157,9 @@ func (f *Follower) stream(ctx context.Context) {
 		return
 	}
 	defer conn.Close()
-	if !f.setConn(conn) {
+	// A cancellation that landed before the connection was registered found
+	// nothing to drop: re-check after registering.
+	if !f.setConn(conn) || ctx.Err() != nil {
 		return
 	}
 	defer f.setConn(nil)

@@ -14,9 +14,11 @@
 //
 // Readers never block maintenance and maintenance never blocks readers; the
 // only coordination is the atomic epoch-pointer load in Refresh. A pinned
-// epoch stays valid indefinitely (snapshots are immutable and garbage
-// collected once no reader holds them); freshness is the reader's choice of
-// when to Refresh, and Lag reports how far behind the pinned epoch is.
+// epoch stays valid indefinitely (snapshots are immutable; an epoch a
+// reader loaded is garbage collected once no reader holds it, while an
+// epoch no reader loaded is released by the maintainer when superseded);
+// freshness is the reader's choice of when to Refresh, and Lag reports how
+// far behind the pinned epoch is.
 package serve
 
 import (
